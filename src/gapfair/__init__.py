@@ -22,7 +22,6 @@ from .indivisible import (
     FefxResult,
     MinimalEnviedSet,
     NotEnviedError,
-    apx_min_envied,
     compute_approx_fefx,
     compute_fefx,
     envies,
@@ -37,6 +36,7 @@ from .instance import (
     InfeasibleAllocationError,
     Instance,
     IntegralAllocation,
+    InternalError,
     ZeroSizeError,
     augment,
     density_ordering,
@@ -60,4 +60,51 @@ from .reductions import (
     solve_knapsack_via_fefx,
 )
 
-__all__ = [name for name in dir() if not name.startswith("_")]
+__all__ = [
+    "DivisibleResult",
+    "best_feasible_value",
+    "build_lp1",
+    "build_lp2",
+    "check_density_domination",
+    "divisible_fef",
+    "fef_witness",
+    "internal_edge",
+    "verify_fef",
+    "EnvyWitness",
+    "FefxResult",
+    "MinimalEnviedSet",
+    "NotEnviedError",
+    "compute_approx_fefx",
+    "compute_fefx",
+    "envies",
+    "fefx_witness",
+    "find_minimal_envied_subset",
+    "verify_approx_fefx",
+    "verify_fefx",
+    "AugmentedInstance",
+    "FractionalAllocation",
+    "InfeasibleAllocationError",
+    "Instance",
+    "IntegralAllocation",
+    "InternalError",
+    "ZeroSizeError",
+    "augment",
+    "density_ordering",
+    "strip_fictional",
+    "KnapsackQuery",
+    "KnapsackSolution",
+    "apx_kns",
+    "kns_brute",
+    "kns_exact",
+    "query_for_agent",
+    "KnapsackProblem",
+    "MnwFixture",
+    "build_gadget",
+    "mnw_fixture",
+    "parity_probe",
+    "solve_knapsack_via_fefx",
+    "FeasibilityResult",
+    "LinearProgram",
+    "LPStructureError",
+    "feasible",
+]

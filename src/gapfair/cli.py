@@ -6,7 +6,8 @@ re-verified before being written; a verification failure exits nonzero
 (it signals an internal bug, never a silently emitted allocation).
 
 Exit codes: 0 success, 1 verification reported FAIL, 2 malformed input,
-3 precondition violation, 4 internal verification failure.
+3 precondition violation, 4 internal error (a solver output failed
+verification or a solver raised InternalError).
 """
 
 from __future__ import annotations
@@ -23,6 +24,7 @@ from .instance import (
     InfeasibleAllocationError,
     Instance,
     IntegralAllocation,
+    InternalError,
     ZeroSizeError,
     augment,
 )
@@ -87,6 +89,7 @@ def _parser() -> argparse.ArgumentParser:
     p.add_argument("instance", type=Path)
     p.add_argument("-o", "--output", type=Path)
     p.add_argument("--trace", action="store_true", help="print each swap")
+    p.set_defaults(eps=None)
 
     p = sub.add_parser("solve-approx-fefx", help="(1-eps)-FEFx allocation")
     p.add_argument("instance", type=Path)
@@ -151,51 +154,33 @@ def _print_integral(instance: Instance, allocation: IntegralAllocation) -> None:
     print("charity:", sorted(g + 1 for g in allocation.charity))
 
 
+def _print_swap(rec: indivisible.SwapRecord) -> None:
+    print(
+        f"iteration {rec.iteration}: agent {rec.agent + 1} takes "
+        f"{sorted(g + 1 for g in rec.goods)}, welfare {rec.welfare}",
+        file=sys.stderr,
+    )
+
+
 def _cmd_solve_fefx(args) -> int:
+    """solve-fefx, and solve-approx-fefx when --eps is given."""
     instance = serialize.load_instance(args.instance)
-    trace = (
-        (
-            lambda rec: print(
-                f"iteration {rec.iteration}: agent {rec.agent + 1} takes "
-                f"{sorted(g + 1 for g in rec.goods)}, welfare {rec.welfare}",
-                file=sys.stderr,
-            )
-        )
-        if args.trace
-        else None
-    )
-    result = indivisible.compute_fefx(instance, trace=trace)
-    if not indivisible.verify_fefx(instance, result.allocation):
+    trace = _print_swap if args.trace else None
+    if args.eps is None:
+        result = indivisible.compute_fefx(instance, trace=trace)
+        verified = indivisible.verify_fefx(instance, result.allocation)
+        label = "FEFx"
+    else:
+        result = indivisible.compute_approx_fefx(instance, args.eps, trace=trace)
+        verified = indivisible.verify_approx_fefx(instance, result.allocation, args.eps)
+        label = f"(1-{args.eps})-FEFx"
+    if not verified:
         print("internal error: solver output failed verification", file=sys.stderr)
         return EXIT_INTERNAL
     if args.output:
         serialize.dump_integral(result.allocation, args.instance, args.output)
     _print_integral(instance, result.allocation)
-    print("verification: PASS (FEFx)")
-    return EXIT_OK
-
-
-def _cmd_solve_approx_fefx(args) -> int:
-    instance = serialize.load_instance(args.instance)
-    trace = (
-        (
-            lambda rec: print(
-                f"iteration {rec.iteration}: agent {rec.agent + 1} takes "
-                f"{sorted(g + 1 for g in rec.goods)}, welfare {rec.welfare}",
-                file=sys.stderr,
-            )
-        )
-        if args.trace
-        else None
-    )
-    result = indivisible.compute_approx_fefx(instance, args.eps, trace=trace)
-    if not indivisible.verify_approx_fefx(instance, result.allocation, args.eps):
-        print("internal error: solver output failed verification", file=sys.stderr)
-        return EXIT_INTERNAL
-    if args.output:
-        serialize.dump_integral(result.allocation, args.instance, args.output)
-    _print_integral(instance, result.allocation)
-    print(f"verification: PASS ((1-{args.eps})-FEFx)")
+    print(f"verification: PASS ({label})")
     return EXIT_OK
 
 
@@ -273,14 +258,14 @@ def _cmd_gen_random(args) -> int:
         serialize.dump_instance(instance, args.output)
         print(f"wrote {args.output}")
     else:
-        serialize.dump_instance(instance, Path("/dev/stdout"))
+        print(serialize.instance_json(instance), end="")
     return EXIT_OK
 
 
 _COMMANDS = {
     "solve-divisible": _cmd_solve_divisible,
     "solve-fefx": _cmd_solve_fefx,
-    "solve-approx-fefx": _cmd_solve_approx_fefx,
+    "solve-approx-fefx": _cmd_solve_fefx,
     "verify": _cmd_verify,
     "reduce-knapsack": _cmd_reduce_knapsack,
     "fixtures": _cmd_fixtures,
@@ -301,6 +286,9 @@ def main(argv=None) -> int:
     except (ZeroSizeError, InfeasibleAllocationError, ValueError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_PRECONDITION
+    except InternalError as exc:
+        print(f"internal error: {exc}", file=sys.stderr)
+        return EXIT_INTERNAL
 
 
 if __name__ == "__main__":

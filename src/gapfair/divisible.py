@@ -19,6 +19,7 @@ from .instance import (
     FractionalAllocation,
     InfeasibleAllocationError,
     Instance,
+    InternalError,
     augment,
     density_ordering,
     strip_fictional,
@@ -175,8 +176,12 @@ def divisible_fef(
     history = [tuple(tau)]
     lp2_known_feasible = False  # caches the selection step's LP2 answer
     while True:
-        if check_invariants and not lp2_known_feasible:
-            assert feasible(build_lp2(aug, tau)).feasible, (
+        if (
+            check_invariants
+            and not lp2_known_feasible
+            and not feasible(build_lp2(aug, tau)).feasible
+        ):
+            raise InternalError(
                 f"loop invariant broken: relaxed program infeasible at {tau}"
             )
         result = feasible(build_lp1(aug, tau))
@@ -184,7 +189,7 @@ def divisible_fef(
             break
         iterations += 1
         if iterations > limit:
-            raise AssertionError("threshold loop exceeded its n(m+1) bound")
+            raise InternalError("threshold loop exceeded its n(m+1) bound")
         for k in range(n):
             if tau[k] == m + 2:
                 continue
@@ -193,7 +198,7 @@ def divisible_fef(
                 break
             tau[k] -= 1
         else:
-            raise AssertionError(
+            raise InternalError(
                 "no agent admits a feasible relaxed program; solver bug"
             )
         history.append(tuple(tau))
@@ -206,7 +211,8 @@ def divisible_fef(
         tuple(z[a * mg + g] for g in range(mg)) for a in range(n)
     )
     augmented = FractionalAllocation(rows)
-    assert check_density_domination(aug, augmented, tau)
+    if not check_density_domination(aug, augmented, tau):
+        raise InternalError("terminal allocation is not density-dominated")
     return DivisibleResult(
         allocation=strip_fictional(augmented),
         augmented_allocation=augmented,

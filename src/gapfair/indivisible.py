@@ -1,10 +1,11 @@
 """FEFx and (1-eps)-FEFx allocation of indivisible goods.
 
-Both solvers start from empty bundles and repeatedly swap a minimal
-envied subset of the charity into the bundle of an agent who envies it.
-Envy tests are knapsack queries; the approximate pipeline replaces them
-with FPTAS queries at accuracy eps/2 and relaxes the comparisons by
-exact rational (1 - eps/2) factors.
+Both solvers run one swap loop: starting from empty bundles, it
+repeatedly swaps a minimal envied subset of the charity into the bundle
+of an agent who envies it.  Envy tests are knapsack queries.  eps is the
+only difference between the pipelines: eps = 0 means exact knapsack
+queries, and eps > 0 means FPTAS queries at accuracy eps/2 with every
+comparison relaxed by the exact rational factor (1 - eps/2).
 
 Scan order everywhere is ascending good index, then ascending agent
 index, first hit taken, so runs are reproducible.
@@ -16,7 +17,12 @@ from dataclasses import dataclass
 from fractions import Fraction
 from typing import Callable, Optional, Union
 
-from .instance import InfeasibleAllocationError, Instance, IntegralAllocation
+from .instance import (
+    InfeasibleAllocationError,
+    Instance,
+    IntegralAllocation,
+    InternalError,
+)
 from .knapsack import apx_kns, kns_exact, query_for_agent
 
 CHARITY = "charity"
@@ -62,55 +68,98 @@ def envies(
     agent: int,
     target_goods: frozenset[int],
     target: Target = CHARITY,
+    eps: Fraction = Fraction(0),
 ) -> Optional[EnvyWitness]:
     """Witness that the agent envies the target set, or None.
 
-    The agent envies a set iff its best feasible subset strictly beats her
-    own bundle.
+    The agent envies a set iff (1 - eps/2) times the value of her best
+    feasible subset of it strictly beats her own bundle.  The best subset
+    comes from the exact knapsack DP when eps = 0 and from the FPTAS at
+    accuracy eps/2 otherwise.
     """
-    best = kns_exact(query_for_agent(instance, agent, target_goods))
+    eps = Fraction(eps)
+    query = query_for_agent(instance, agent, target_goods)
+    best = kns_exact(query) if eps == 0 else apx_kns(query, eps / 2)
     own = instance.bundle_value(agent, allocation.bundles[agent])
-    if best.value > own:
+    if (1 - eps / 2) * best.value > own:
         return EnvyWitness(agent, target, best.subset, best.value)
     return None
 
 
-def _first_envier(instance, allocation, goods) -> Optional[int]:
+def _first_envy(instance, allocation, goods, eps) -> Optional[EnvyWitness]:
     for a in range(instance.n):
-        if envies(instance, allocation, a, goods) is not None:
-            return a
+        witness = envies(instance, allocation, a, goods, eps=eps)
+        if witness is not None:
+            return witness
     return None
 
 
 def find_minimal_envied_subset(
-    instance: Instance, allocation: IntegralAllocation
+    instance: Instance,
+    allocation: IntegralAllocation,
+    eps: Fraction = Fraction(0),
 ) -> MinimalEnviedSet:
     """Shrink the charity to a minimal envied set and its envying agent.
 
     While some agent still envies the set minus one good, drop that good
-    and remember the agent.  Raises NotEnviedError when no agent envies
-    the charity in the first place.
+    and remember the agent's witness, rescanning from the first good.
+    Envy is tested as in `envies` at the same eps.  The result is the
+    witness subset of the last hit: for eps = 0 that is the whole minimal
+    set (a smaller optimal subset would leave the set minus some good
+    envied), for eps > 0 the FPTAS's budget-feasible trim of it.  Raises
+    NotEnviedError when no agent envies the charity in the first place.
     """
+    eps = Fraction(eps)
     charity = allocation.charity
-    k = _first_envier(instance, allocation, charity)
-    if k is None:
+    last = _first_envy(instance, allocation, charity, eps)
+    if last is None:
         raise NotEnviedError("charity is not envied by any agent")
-    own = [instance.bundle_value(a, allocation.bundles[a]) for a in range(instance.n)]
     t = set(charity)
     while True:
-        hit = None
         for g in sorted(t):
-            smaller = frozenset(t - {g})
-            for a in range(instance.n):
-                if kns_exact(query_for_agent(instance, a, smaller)).value > own[a]:
-                    hit = (g, a)
-                    break
-            if hit:
+            hit = _first_envy(instance, allocation, frozenset(t - {g}), eps)
+            if hit is not None:
                 break
-        if hit is None:
-            return MinimalEnviedSet(frozenset(t), k)
-        g, k = hit
+        else:
+            return MinimalEnviedSet(last.subset, last.agent)
         t.remove(g)
+        last = hit
+
+
+def _swap_loop(instance, eps, check_invariants, trace) -> FefxResult:
+    """Grant minimal envied subsets of the charity until nobody envies it.
+
+    Each swap must leave the receiving agent with a bundle worth strictly
+    more than 1/(1 - eps/2) times her old one.  Only her bundle changes,
+    so at eps = 0 this is strict growth of social welfare, and the loop
+    runs at most n * max_a v_a([m]) times.
+    """
+    n = instance.n
+    bundles: list[frozenset[int]] = [frozenset()] * n
+    swaps: list[SwapRecord] = []
+    limit = n * max(sum(row) for row in instance.values) + 1
+    while True:
+        allocation = IntegralAllocation(instance.m, tuple(bundles))
+        try:
+            mes = find_minimal_envied_subset(instance, allocation, eps)
+        except NotEnviedError:
+            return FefxResult(allocation, tuple(swaps))
+        if len(swaps) >= limit:
+            raise InternalError("swap loop exceeded its bound")
+        old_value = instance.bundle_value(mes.envier, bundles[mes.envier])
+        bundles[mes.envier] = mes.goods
+        new_value = instance.bundle_value(mes.envier, mes.goods)
+        if not new_value * (1 - eps / 2) > old_value:
+            raise InternalError("bundle update missed its growth guarantee")
+        welfare = sum(instance.bundle_value(a, bundles[a]) for a in range(n))
+        record = SwapRecord(len(swaps) + 1, mes.envier, mes.goods, welfare)
+        swaps.append(record)
+        if trace is not None:
+            trace(record)
+        if check_invariants and not _fefx_among_agents(
+            instance, IntegralAllocation(instance.m, tuple(bundles)), eps
+        ):
+            raise InternalError("intermediate allocation lost FEFx among agents")
 
 
 def compute_fefx(
@@ -121,37 +170,27 @@ def compute_fefx(
     """Compute an FEFx allocation by minimal-envied-subset swaps.
 
     Social welfare strictly increases each iteration, so the loop runs at
-    most n * max_a v_a([m]) times.
+    most n * max_a v_a([m]) times.  check_invariants re-verifies FEFx
+    among the agents after every swap.
     """
-    n = instance.n
-    bundles: list[frozenset[int]] = [frozenset()] * n
-    swaps: list[SwapRecord] = []
-    limit = n * max(sum(row) for row in instance.values) + 1
-    welfare = 0
-    iteration = 0
-    while True:
-        allocation = IntegralAllocation(instance.m, tuple(bundles))
-        if _first_envier(instance, allocation, allocation.charity) is None:
-            return FefxResult(allocation, tuple(swaps))
-        iteration += 1
-        if iteration > limit:
-            raise AssertionError("swap loop exceeded its welfare bound")
-        mes = find_minimal_envied_subset(instance, allocation)
-        bundles[mes.envier] = mes.goods
-        new_welfare = sum(
-            instance.bundle_value(a, bundles[a]) for a in range(n)
-        )
-        assert new_welfare > welfare, "welfare failed to increase"
-        welfare = new_welfare
-        record = SwapRecord(iteration, mes.envier, mes.goods, welfare)
-        swaps.append(record)
-        if trace is not None:
-            trace(record)
-        if check_invariants:
-            partial = IntegralAllocation(instance.m, tuple(bundles))
-            assert _fefx_among_agents(instance, partial, Fraction(0)), (
-                "intermediate allocation lost FEFx among agents"
-            )
+    return _swap_loop(instance, Fraction(0), check_invariants, trace)
+
+
+def compute_approx_fefx(
+    instance: Instance,
+    eps: Fraction,
+    trace: Optional[Callable[[SwapRecord], None]] = None,
+) -> FefxResult:
+    """Compute a (1-eps)-FEFx allocation in time polynomial in 1/eps.
+
+    Each swap raises the receiving agent's value by a strict factor of
+    1/(1 - eps/2), which bounds the per-agent update count
+    logarithmically.
+    """
+    eps = Fraction(eps)
+    if not 0 < eps < 1:
+        raise ValueError("eps must lie in (0, 1)")
+    return _swap_loop(instance, eps, False, trace)
 
 
 # -- verifiers ---------------------------------------------------------------
@@ -239,94 +278,3 @@ def verify_approx_fefx(
 ) -> bool:
     """verify_fefx with comparisons relaxed to v_a(A_a) >= (1-eps) v_a(S)."""
     return fefx_witness(instance, allocation, eps) is None
-
-
-# -- approximate pipeline ----------------------------------------------------
-
-
-def _apx_envies(instance, allocation, agent, goods, eps: Fraction) -> bool:
-    own = instance.bundle_value(agent, allocation.bundles[agent])
-    best = apx_kns(query_for_agent(instance, agent, goods), eps / 2).value
-    return own < (1 - eps / 2) * best
-
-
-def apx_min_envied(
-    instance: Instance,
-    allocation: IntegralAllocation,
-    eps: Fraction,
-) -> MinimalEnviedSet:
-    """Find a (1-eps)-minimal envied subset of the charity.
-
-    Mirrors the exact search but tests envy with FPTAS knapsacks at
-    accuracy eps/2 and relaxed comparisons; the surviving set is finally
-    trimmed to a budget-feasible subset for the envying agent.
-    """
-    eps = Fraction(eps)
-    charity = allocation.charity
-    k = None
-    for a in range(instance.n):
-        if _apx_envies(instance, allocation, a, charity, eps):
-            k = a
-            break
-    if k is None:
-        raise NotEnviedError("charity is not approximately envied by any agent")
-    t = set(charity)
-    while True:
-        hit = None
-        for g in sorted(t):
-            smaller = frozenset(t - {g})
-            for a in range(instance.n):
-                if _apx_envies(instance, allocation, a, smaller, eps):
-                    hit = (g, a)
-                    break
-            if hit:
-                break
-        if hit is None:
-            break
-        g, k = hit
-        t.remove(g)
-    trimmed = apx_kns(query_for_agent(instance, k, frozenset(t)), eps / 2).subset
-    return MinimalEnviedSet(trimmed, k)
-
-
-def compute_approx_fefx(
-    instance: Instance,
-    eps: Fraction,
-    trace: Optional[Callable[[SwapRecord], None]] = None,
-) -> FefxResult:
-    """Compute a (1-eps)-FEFx allocation in time polynomial in 1/eps.
-
-    Each swap raises the receiving agent's value by a strict factor of
-    1/(1 - eps/2), which bounds the per-agent update count
-    logarithmically.
-    """
-    eps = Fraction(eps)
-    if not 0 < eps < 1:
-        raise ValueError("eps must lie in (0, 1)")
-    n = instance.n
-    bundles: list[frozenset[int]] = [frozenset()] * n
-    swaps: list[SwapRecord] = []
-    limit = n * max(sum(row) for row in instance.values) + 1
-    iteration = 0
-    while True:
-        allocation = IntegralAllocation(instance.m, tuple(bundles))
-        charity = allocation.charity
-        if not any(
-            _apx_envies(instance, allocation, a, charity, eps) for a in range(n)
-        ):
-            return FefxResult(allocation, tuple(swaps))
-        iteration += 1
-        if iteration > limit:
-            raise AssertionError("approximate swap loop exceeded its bound")
-        mes = apx_min_envied(instance, allocation, eps)
-        old_value = instance.bundle_value(mes.envier, bundles[mes.envier])
-        bundles[mes.envier] = mes.goods
-        new_value = instance.bundle_value(mes.envier, mes.goods)
-        assert new_value * (1 - eps / 2) > old_value, (
-            "bundle update missed the multiplicative growth guarantee"
-        )
-        welfare = sum(instance.bundle_value(a, bundles[a]) for a in range(n))
-        record = SwapRecord(iteration, mes.envier, mes.goods, welfare)
-        swaps.append(record)
-        if trace is not None:
-            trace(record)

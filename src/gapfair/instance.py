@@ -25,6 +25,14 @@ class InfeasibleAllocationError(ValueError):
     """An allocation violates budget or disjointness requirements."""
 
 
+class InternalError(RuntimeError):
+    """A solver broke one of its own guarantees; always a bug, never bad input.
+
+    Raised instead of `assert` so the soundness checks also run under
+    `python -O`.
+    """
+
+
 @dataclass(frozen=True)
 class Instance:
     """A fair-division instance with agent-specific values, sizes and budgets.

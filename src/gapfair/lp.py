@@ -13,6 +13,8 @@ from dataclasses import dataclass, field
 from fractions import Fraction
 from typing import Optional
 
+from .instance import InternalError
+
 LE = "<="
 EQ = "="
 
@@ -128,7 +130,8 @@ def feasible(lp: LinearProgram) -> FeasibilityResult:
 
     point = tuple(values[j] if j in values else lo[j] for j in range(lp.var_count))
     # Exact soundness self-check; a failure here is an internal bug.
-    assert _satisfies(lp, point), "simplex returned an infeasible point"
+    if not _satisfies(lp, point):
+        raise InternalError("simplex returned an infeasible point")
     return FeasibilityResult(point)
 
 
@@ -319,7 +322,7 @@ def _simplex(rows, lo, up):
                 leaving_row = i
                 leaving_to_upper = hits_upper
         if t_best is None:
-            raise AssertionError("phase-1 objective unbounded below")
+            raise InternalError("phase-1 objective unbounded below")
 
         if leaving_row == -1:
             at_upper[entering] = not at_upper[entering]

@@ -2,15 +2,16 @@
 
 Instances hold only integers; rationals in allocation files are "p/q"
 strings so round-trips are bit-exact.  Good indices in files are 1-based.
-Allocation files reference the instance file they were solved from, plus
-a content hash, so verification cannot silently run against the wrong
-instance.
+Allocation files reference the instance file they were solved from, by a
+path relative to the allocation file's directory, plus a content hash,
+so verification cannot silently run against the wrong instance.
 """
 
 from __future__ import annotations
 
 import hashlib
 import json
+import os
 from fractions import Fraction
 from pathlib import Path
 from typing import Any
@@ -42,12 +43,17 @@ def _load_json(path: Path) -> Any:
         raise InstanceFormatError(f"{path}: invalid JSON at line {exc.lineno}") from exc
 
 
+def _is_int(v: Any) -> bool:
+    # JSON true/false load as bool, which is a subclass of int.
+    return isinstance(v, int) and not isinstance(v, bool)
+
+
 def _int_list(doc: Any, field: str, length: int) -> list[int]:
     raw = doc.get(field)
     if not isinstance(raw, list) or len(raw) != length:
         raise InstanceFormatError(f"field {field!r}: expected {length} integers")
     for v in raw:
-        if not isinstance(v, int):
+        if not _is_int(v):
             raise InstanceFormatError(f"field {field!r}: non-integer entry {v!r}")
     return raw
 
@@ -63,7 +69,7 @@ def _int_matrix(doc: Any, field: str, rows: int, cols: int) -> list[list[int]]:
                 f"field {field!r} row {i + 1}: expected {cols} integers"
             )
         for v in row:
-            if not isinstance(v, int):
+            if not _is_int(v):
                 raise InstanceFormatError(
                     f"field {field!r} row {i + 1}: non-integer entry {v!r}"
                 )
@@ -77,7 +83,7 @@ def load_instance(path: str | Path) -> Instance:
     if not isinstance(doc, dict):
         raise InstanceFormatError(f"{path}: expected a JSON object")
     for field in ("n", "m"):
-        if not isinstance(doc.get(field), int) or doc[field] < 1:
+        if not _is_int(doc.get(field)) or doc[field] < 1:
             raise InstanceFormatError(f"field {field!r}: expected a positive integer")
     n, m = doc["n"], doc["m"]
     try:
@@ -92,7 +98,7 @@ def load_instance(path: str | Path) -> Instance:
         raise InstanceFormatError(str(exc)) from exc
 
 
-def dump_instance(instance: Instance, path: str | Path) -> None:
+def instance_json(instance: Instance) -> str:
     doc = {
         "n": instance.n,
         "m": instance.m,
@@ -100,16 +106,21 @@ def dump_instance(instance: Instance, path: str | Path) -> None:
         "values": [list(row) for row in instance.values],
         "sizes": [list(row) for row in instance.sizes],
     }
-    Path(path).write_text(json.dumps(doc, indent=2) + "\n")
+    return json.dumps(doc, indent=2) + "\n"
+
+
+def dump_instance(instance: Instance, path: str | Path) -> None:
+    Path(path).write_text(instance_json(instance))
 
 
 def instance_hash(path: str | Path) -> str:
     return hashlib.sha256(Path(path).read_bytes()).hexdigest()
 
 
-def _allocation_header(instance_path: Path) -> dict[str, str]:
+def _allocation_header(instance_path: str | Path, path: str | Path) -> dict[str, str]:
+    # load_allocation resolves the path against the allocation file's directory.
     return {
-        "instance": str(instance_path),
+        "instance": os.path.relpath(instance_path, Path(path).parent),
         "instance_sha256": instance_hash(instance_path),
     }
 
@@ -117,7 +128,7 @@ def _allocation_header(instance_path: Path) -> dict[str, str]:
 def dump_fractional(
     allocation: FractionalAllocation, instance_path: str | Path, path: str | Path
 ) -> None:
-    doc = _allocation_header(Path(instance_path))
+    doc = _allocation_header(instance_path, path)
     doc["type"] = "fractional"
     doc["x"] = [[frac_to_str(v) for v in row] for row in allocation.x]
     doc["charity"] = [frac_to_str(v) for v in allocation.charity]
@@ -127,7 +138,7 @@ def dump_fractional(
 def dump_integral(
     allocation: IntegralAllocation, instance_path: str | Path, path: str | Path
 ) -> None:
-    doc = _allocation_header(Path(instance_path))
+    doc = _allocation_header(instance_path, path)
     doc["type"] = "integral"
     doc["bundles"] = [sorted(g + 1 for g in bundle) for bundle in allocation.bundles]
     doc["charity"] = sorted(g + 1 for g in allocation.charity)
@@ -189,9 +200,9 @@ def load_knapsack(path: str | Path) -> KnapsackProblem:
     doc = _load_json(path)
     if not isinstance(doc, dict):
         raise InstanceFormatError(f"{path}: expected a JSON object")
-    if not isinstance(doc.get("m"), int) or doc["m"] < 1:
+    if not _is_int(doc.get("m")) or doc["m"] < 1:
         raise InstanceFormatError("field 'm': expected a positive integer")
-    if not isinstance(doc.get("capacity"), int):
+    if not _is_int(doc.get("capacity")):
         raise InstanceFormatError("field 'capacity': expected an integer")
     m = doc["m"]
     try:

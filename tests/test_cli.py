@@ -4,16 +4,17 @@ import json
 
 import pytest
 
-from gapfair import cli, serialize
+from gapfair import cli, indivisible, serialize
 from gapfair.cli import (
     EXIT_BAD_INPUT,
     EXIT_FAIL,
+    EXIT_INTERNAL,
     EXIT_OK,
     EXIT_PRECONDITION,
     gen_random,
     main,
 )
-from gapfair.instance import Instance
+from gapfair.instance import Instance, InternalError
 
 
 @pytest.fixture
@@ -45,6 +46,12 @@ class TestGenRandom:
     def test_cli_writes_file(self, tmp_path):
         out = tmp_path / "inst.json"
         assert run("gen-random", "--seed", 3, "-n", 2, "-m", 2, "-o", out) == EXIT_OK
+        assert serialize.load_instance(out) == gen_random(3, 2, 2)
+
+    def test_cli_prints_to_stdout(self, tmp_path, capsys):
+        assert run("gen-random", "--seed", 3, "-n", 2, "-m", 2) == EXIT_OK
+        out = tmp_path / "printed.json"
+        out.write_text(capsys.readouterr().out)
         assert serialize.load_instance(out) == gen_random(3, 2, 2)
 
 
@@ -88,6 +95,35 @@ class TestSolveFefx:
         out = tmp_path / "alloc.json"
         assert run("solve-fefx", inst_path, "-o", out) == EXIT_OK
         assert run("verify", out, "--mode", "fef") == EXIT_BAD_INPUT
+
+    def test_paths_relative_to_cwd(self, tmp_path, monkeypatch):
+        (tmp_path / "sub").mkdir()
+        serialize.dump_instance(gen_random(seed=5, n=2, m=3), tmp_path / "sub/inst.json")
+        monkeypatch.chdir(tmp_path)
+        assert run("solve-fefx", "sub/inst.json", "-o", "sub/out.json") == EXIT_OK
+        assert run("verify", "sub/out.json", "--mode", "fefx") == EXIT_OK
+        monkeypatch.chdir(tmp_path / "sub")
+        assert run("verify", "out.json", "--mode", "fefx") == EXIT_OK
+
+    @pytest.mark.parametrize(
+        "field, entry",
+        [("n", True), ("budgets", [True]), ("values", [[True]])],
+        ids=["n", "budgets", "values"],
+    )
+    def test_boolean_entries_rejected(self, tmp_path, field, entry):
+        doc = {"n": 1, "m": 1, "budgets": [1], "values": [[1]], "sizes": [[1]]}
+        doc[field] = entry
+        path = tmp_path / "inst.json"
+        path.write_text(json.dumps(doc))
+        assert run("solve-fefx", path) == EXIT_BAD_INPUT
+
+    def test_internal_error_exits_4(self, inst_path, monkeypatch, capsys):
+        def broken(*args, **kwargs):
+            raise InternalError("swap loop exceeded its bound")
+
+        monkeypatch.setattr(indivisible, "compute_fefx", broken)
+        assert run("solve-fefx", inst_path) == EXIT_INTERNAL
+        assert "internal error" in capsys.readouterr().err
 
 
 class TestSolveApproxFefx:
@@ -152,3 +188,10 @@ class TestReduceKnapsack:
         captured = capsys.readouterr()
         assert "optimum value: 10" in captured.out
         assert "mu=" in captured.err
+
+    def test_boolean_capacity_rejected(self, tmp_path):
+        path = tmp_path / "kp.json"
+        path.write_text(
+            json.dumps({"m": 1, "capacity": True, "weights": [1], "values": [1]})
+        )
+        assert run("reduce-knapsack", path) == EXIT_BAD_INPUT

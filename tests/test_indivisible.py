@@ -9,12 +9,14 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from conftest import instances
+from gapfair import indivisible
 from gapfair import (
     InfeasibleAllocationError,
     Instance,
     IntegralAllocation,
+    InternalError,
+    MinimalEnviedSet,
     NotEnviedError,
-    apx_min_envied,
     compute_approx_fefx,
     compute_fefx,
     envies,
@@ -114,6 +116,16 @@ class TestComputeFefx:
         welfares = [rec.welfare for rec in result.swaps]
         assert welfares == sorted(set(welfares))
 
+    def test_growth_check_raises_internal_error(self, monkeypatch):
+        # A search that hands back a worthless set breaks the growth guarantee.
+        monkeypatch.setattr(
+            indivisible,
+            "find_minimal_envied_subset",
+            lambda instance, allocation, eps: MinimalEnviedSet(frozenset(), 0),
+        )
+        with pytest.raises(InternalError, match="growth"):
+            compute_fefx(Instance(1, 1, ((1,),), ((1,),), (1,)))
+
     def test_trace_receives_every_swap(self):
         inst = Instance(2, 2, ((3, 1), (1, 3)), ((1, 1), (1, 1)), (1, 1))
         seen = []
@@ -182,11 +194,11 @@ class TestApproxPipeline:
     def test_unenvied_charity_raises(self):
         inst = Instance(1, 1, ((0,),), ((1,),), (1,))
         with pytest.raises(NotEnviedError):
-            apx_min_envied(inst, empty_allocation(inst), Fraction(1, 4))
+            find_minimal_envied_subset(inst, empty_allocation(inst), Fraction(1, 4))
 
     def test_trimmed_set_is_feasible_for_envier(self):
         inst = Instance(2, 3, ((6, 4, 2), (2, 6, 4)), ((2, 2, 2), (2, 2, 2)), (3, 3))
-        mes = apx_min_envied(inst, empty_allocation(inst), Fraction(1, 4))
+        mes = find_minimal_envied_subset(inst, empty_allocation(inst), Fraction(1, 4))
         assert inst.is_feasible_bundle(mes.envier, mes.goods)
 
     @settings(max_examples=30, deadline=None)
