@@ -9,8 +9,7 @@ harness.
 from .divisible import (
     DivisibleResult,
     best_feasible_value,
-    build_lp1,
-    build_lp2,
+    build_lp,
     check_density_domination,
     divisible_fef,
     fef_witness,
@@ -31,7 +30,6 @@ from .indivisible import (
     verify_fefx,
 )
 from .instance import (
-    AugmentedInstance,
     FractionalAllocation,
     InfeasibleAllocationError,
     Instance,
@@ -63,8 +61,7 @@ from .reductions import (
 __all__ = [
     "DivisibleResult",
     "best_feasible_value",
-    "build_lp1",
-    "build_lp2",
+    "build_lp",
     "check_density_domination",
     "divisible_fef",
     "fef_witness",
@@ -81,7 +78,6 @@ __all__ = [
     "find_minimal_envied_subset",
     "verify_approx_fefx",
     "verify_fefx",
-    "AugmentedInstance",
     "FractionalAllocation",
     "InfeasibleAllocationError",
     "Instance",

@@ -7,7 +7,8 @@ re-verified before being written; a verification failure exits nonzero
 
 Exit codes: 0 success, 1 verification reported FAIL, 2 malformed input,
 3 precondition violation, 4 internal error (a solver output failed
-verification or a solver raised InternalError).
+verification, or a solver raised InternalError or built a malformed
+program, LPStructureError).
 """
 
 from __future__ import annotations
@@ -28,6 +29,7 @@ from .instance import (
     ZeroSizeError,
     augment,
 )
+from .lp import EQ, LPStructureError
 
 EXIT_OK = 0
 EXIT_FAIL = 1
@@ -124,8 +126,9 @@ def _parser() -> argparse.ArgumentParser:
 def _cmd_solve_divisible(args) -> int:
     instance = serialize.load_instance(args.instance)
     if args.dump_lp:
-        aug = augment(instance)
-        print(divisible.build_lp1(aug, [1] * instance.n).pretty(), file=sys.stderr)
+        lp, cols = divisible.build_lp(augment(instance), [1] * instance.n, EQ)
+        names = [f"x[{a + 1},{g + 1}]" for a, g in cols]
+        print(lp.pretty(names), file=sys.stderr)
     trace = (
         (lambda it, tau: print(f"iteration {it}: tau={tau}", file=sys.stderr))
         if args.trace
@@ -283,12 +286,13 @@ def main(argv=None) -> int:
     except serialize.InstanceFormatError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_BAD_INPUT
+    except (InternalError, LPStructureError) as exc:
+        # A malformed program here was built by the solver, not the user.
+        print(f"internal error: {exc}", file=sys.stderr)
+        return EXIT_INTERNAL
     except (ZeroSizeError, InfeasibleAllocationError, ValueError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_PRECONDITION
-    except InternalError as exc:
-        print(f"internal error: {exc}", file=sys.stderr)
-        return EXIT_INTERNAL
 
 
 if __name__ == "__main__":

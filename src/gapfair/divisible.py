@@ -15,7 +15,6 @@ from fractions import Fraction
 from typing import Callable, Optional
 
 from .instance import (
-    AugmentedInstance,
     FractionalAllocation,
     InfeasibleAllocationError,
     Instance,
@@ -39,11 +38,15 @@ class InternalEdgeSets:
         return frozenset(g for row in self.internal for g in row)
 
     @property
-    def edge_union(self) -> frozenset[int]:
-        return frozenset(g for g in self.edge if g is not None)
+    def support(self) -> tuple[tuple[int, ...], ...]:
+        """Per agent, the goods it may hold (internal goods and edge), ascending."""
+        return tuple(
+            tuple(sorted(row if e is None else row + (e,)))
+            for row, e in zip(self.internal, self.edge)
+        )
 
 
-def _check_tau(instance: AugmentedInstance, tau) -> tuple[int, ...]:
+def _check_tau(instance: Instance, tau) -> tuple[int, ...]:
     tau = tuple(tau)
     if len(tau) != instance.n:
         raise ValueError("threshold vector must have one entry per agent")
@@ -54,7 +57,7 @@ def _check_tau(instance: AugmentedInstance, tau) -> tuple[int, ...]:
     return tau
 
 
-def internal_edge(instance: AugmentedInstance, tau) -> InternalEdgeSets:
+def internal_edge(instance: Instance, tau) -> InternalEdgeSets:
     """Internal/edge sets for a threshold vector over the augmented goods.
 
     tau_a = 1 means no internal goods; tau_a = m+2 means every good is
@@ -70,61 +73,49 @@ def internal_edge(instance: AugmentedInstance, tau) -> InternalEdgeSets:
     return InternalEdgeSets(tuple(internal), tuple(edge))
 
 
-def _build_lp(instance: AugmentedInstance, tau, budget_relation: str) -> LinearProgram:
-    tau = _check_tau(instance, tau)
-    n, mg = instance.n, instance.m  # mg = m + 1 goods including fictional
-    sets = internal_edge(instance, tau)
-    var = lambda a, g: a * mg + g
-    lp = LinearProgram(n * mg)
+def build_lp(
+    instance: Instance, tau, budget_relation: str
+) -> tuple[LinearProgram, list[tuple[int, int]]]:
+    """Threshold program over the augmented instance: LP1(tau) with EQ
+    budgets, LP2(tau) with LE budgets.
 
-    # Dominance on internal goods.
-    for a in range(n):
+    Only the x[a,g] with g in agent a's support are variables; every other
+    entry is zero.  Returns the program and its column map: variable j is
+    x[cols[j]], agent-major with goods ascending.
+    """
+    sets = internal_edge(instance, tau)
+    support = sets.support
+    cols = [(a, g) for a in range(instance.n) for g in support[a]]
+    var = {ag: j for j, ag in enumerate(cols)}
+    holders: dict[int, list[int]] = {}  # good -> agents supporting it, ascending
+    for a, g in cols:
+        holders.setdefault(g, []).append(a)
+    lp = LinearProgram(len(cols))
+
+    # Dominance on internal goods; an agent without g in its support holds none.
+    for a in range(instance.n):
         for g in sets.internal[a]:
-            for b in range(n):
+            for b in holders[g]:
                 if b != a:
-                    lp.add({var(b, g): 1, var(a, g): -1}, LE, 0)
-    # Budget rows over the supported goods.
-    for a in range(n):
-        support = set(sets.internal[a])
-        if sets.edge[a] is not None:
-            support.add(sets.edge[a])
+                    lp.add({var[b, g]: 1, var[a, g]: -1}, LE, 0)
+    for a in range(instance.n):
         lp.add(
-            {var(a, g): instance.size(a, g) for g in sorted(support)},
+            {var[a, g]: instance.size(a, g) for g in support[a]},
             budget_relation,
             instance.budgets[a],
         )
-    # Internal goods fully assigned.
+    # Internal goods fully assigned; supply caps on the other supported goods.
     internal_union = sets.internal_union
     for g in sorted(internal_union):
-        lp.add({var(a, g): 1 for a in range(n)}, EQ, 1)
-    # Zero-fixing outside each agent's support (redundant under the
-    # equality budgets but kept for a uniform construction).
-    for a in range(n):
-        support = set(sets.internal[a])
-        if sets.edge[a] is not None:
-            support.add(sets.edge[a])
-        for h in range(mg):
-            if h not in support:
-                lp.add({var(a, h): 1}, EQ, 0)
-    # Supply caps on non-internal goods.
-    for h in range(mg):
-        if h not in internal_union:
-            lp.add({var(a, h): 1 for a in range(n)}, LE, 1)
-    return lp
-
-
-def build_lp1(instance: AugmentedInstance, tau) -> LinearProgram:
-    """Strict program: budgets bind with equality."""
-    return _build_lp(instance, tau, EQ)
-
-
-def build_lp2(instance: AugmentedInstance, tau) -> LinearProgram:
-    """Relaxed program: budgets as inequalities."""
-    return _build_lp(instance, tau, LE)
+        lp.add({var[a, g]: 1 for a in holders[g]}, EQ, 1)
+    for g in sorted(holders):
+        if g not in internal_union:
+            lp.add({var[a, g]: 1 for a in holders[g]}, LE, 1)
+    return lp, cols
 
 
 def check_density_domination(
-    instance: AugmentedInstance, allocation: FractionalAllocation, tau
+    instance: Instance, allocation: FractionalAllocation, tau
 ) -> bool:
     """Exact check of the three density-domination condition groups."""
     tau = _check_tau(instance, tau)
@@ -132,13 +123,10 @@ def check_density_domination(
         raise ValueError("allocation dimensions do not match the instance")
     sets = internal_edge(instance, tau)
     x = allocation.x
-    for a in range(instance.n):
+    for a, support in enumerate(sets.support):
         for g in sets.internal[a]:
             if any(x[a][g] < x[b][g] for b in range(instance.n)):
                 return False
-        support = set(sets.internal[a])
-        if sets.edge[a] is not None:
-            support.add(sets.edge[a])
         spent = sum((x[a][g] * instance.size(a, g) for g in support), Fraction(0))
         if spent != instance.budgets[a]:
             return False
@@ -174,17 +162,15 @@ def divisible_fef(
     limit = n * (m + 1)
     iterations = 0
     history = [tuple(tau)]
-    lp2_known_feasible = False  # caches the selection step's LP2 answer
+    # LP2 at the initial tau is checked here; every later tau is accepted
+    # only once the selection step's feasible() has returned a point of it.
+    if check_invariants and not feasible(build_lp(aug, tau, LE)[0]).feasible:
+        raise InternalError(
+            f"loop invariant broken: relaxed program infeasible at {tau}"
+        )
     while True:
-        if (
-            check_invariants
-            and not lp2_known_feasible
-            and not feasible(build_lp2(aug, tau)).feasible
-        ):
-            raise InternalError(
-                f"loop invariant broken: relaxed program infeasible at {tau}"
-            )
-        result = feasible(build_lp1(aug, tau))
+        lp, cols = build_lp(aug, tau, EQ)
+        result = feasible(lp)
         if result.feasible:
             break
         iterations += 1
@@ -194,7 +180,7 @@ def divisible_fef(
             if tau[k] == m + 2:
                 continue
             tau[k] += 1
-            if feasible(build_lp2(aug, tau)).feasible:
+            if feasible(build_lp(aug, tau, LE)[0]).feasible:
                 break
             tau[k] -= 1
         else:
@@ -205,12 +191,10 @@ def divisible_fef(
         if trace is not None:
             trace(iterations, tuple(tau))
 
-    mg = aug.m
-    z = result.assignment
-    rows = tuple(
-        tuple(z[a * mg + g] for g in range(mg)) for a in range(n)
-    )
-    augmented = FractionalAllocation(rows)
+    x = [[Fraction(0)] * aug.m for _ in range(n)]
+    for (a, g), v in zip(cols, result.assignment):
+        x[a][g] = v
+    augmented = FractionalAllocation(tuple(map(tuple, x)))
     if not check_density_domination(aug, augmented, tau):
         raise InternalError("terminal allocation is not density-dominated")
     return DivisibleResult(

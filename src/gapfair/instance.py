@@ -12,7 +12,7 @@ uses 1-based good indices.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from fractions import Fraction
 from typing import Iterable, Sequence
 
@@ -104,28 +104,14 @@ class Instance:
         return self.bundle_size(agent, goods) <= self.budgets[agent]
 
 
-@dataclass(frozen=True)
-class AugmentedInstance(Instance):
-    """An instance extended with the fictional good (last column).
-
-    The fictional good has value 0 for every agent and size 2*n*max(B),
-    which strictly exceeds every budget; it lets budget constraints bind
-    with equality in the divisible pipeline.
-    """
-
-    base: Instance = field(default=None)  # type: ignore[assignment]
-
-    @property
-    def fictional(self) -> int:
-        """0-based index of the fictional good."""
-        return self.m - 1
-
-
-def augment(instance: Instance) -> AugmentedInstance:
+def augment(instance: Instance) -> Instance:
     """Append the fictional good to every agent's value/size rows.
 
-    Rejects instances containing a zero size, since the divisible pipeline
-    needs all densities defined.
+    The fictional good is the last column (index instance.m).  It has
+    value 0 for every agent and size 2*n*max(B), which strictly exceeds
+    every budget; it lets budget constraints bind with equality in the
+    divisible pipeline.  Rejects instances containing a zero size, since
+    the divisible pipeline needs all densities defined.
     """
     for a in range(instance.n):
         for g in range(instance.m):
@@ -137,13 +123,12 @@ def augment(instance: Instance) -> AugmentedInstance:
     fict_size = 2 * instance.n * max(instance.budgets)
     values = tuple(row + (0,) for row in instance.values)
     sizes = tuple(row + (fict_size,) for row in instance.sizes)
-    return AugmentedInstance(
+    return Instance(
         n=instance.n,
         m=instance.m + 1,
         values=values,
         sizes=sizes,
         budgets=instance.budgets,
-        base=instance,
     )
 
 

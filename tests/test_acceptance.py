@@ -16,7 +16,7 @@ import pytest
 from gapfair import (
     Instance,
     augment,
-    build_lp2,
+    build_lp,
     check_density_domination,
     compute_approx_fefx,
     compute_fefx,
@@ -35,7 +35,7 @@ from gapfair import (
 from gapfair.cli import gen_random
 from gapfair.instance import IntegralAllocation
 from gapfair.knapsack import KnapsackQuery
-from gapfair.lp import feasible
+from gapfair.lp import LE, feasible
 from gapfair.reductions import KnapsackProblem, parity_probe
 from oracles import best_subset_value_brute, fef_integral_exists, fefx_brute
 
@@ -90,8 +90,10 @@ def test_criterion_1_divisible_correctness(divisible_suite):
 
 
 def test_criterion_2_loop_invariant(divisible_suite):
-    # Part 1: the suite above ran with check_invariants=True, which asserts
-    # the relaxed program is feasible at the start of every iteration.
+    # Part 1: the suite above ran with check_invariants=True.  The relaxed
+    # program at the initial tau is solved by that check; every later tau
+    # was accepted by the selection step only after feasible() returned a
+    # point of its relaxed program, which feasible() checks exactly.
     starts = sum(r.iterations + 1 for _, r in divisible_suite)
     # Part 2: any threshold vector with an entry at m+2 is infeasible.
     rng = random.Random(4242)
@@ -100,7 +102,7 @@ def test_criterion_2_loop_invariant(divisible_suite):
         aug = augment(inst)
         tau = [rng.randint(1, inst.m + 2) for _ in range(inst.n)]
         tau[rng.randrange(inst.n)] = inst.m + 2
-        assert not feasible(build_lp2(aug, tau)).feasible
+        assert not feasible(build_lp(aug, tau, LE)[0]).feasible
     report(
         2,
         True,

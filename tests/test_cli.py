@@ -4,7 +4,7 @@ import json
 
 import pytest
 
-from gapfair import cli, indivisible, serialize
+from gapfair import cli, divisible, indivisible, serialize
 from gapfair.cli import (
     EXIT_BAD_INPUT,
     EXIT_FAIL,
@@ -15,6 +15,7 @@ from gapfair.cli import (
     main,
 )
 from gapfair.instance import Instance, InternalError
+from gapfair.lp import LPStructureError
 
 
 @pytest.fixture
@@ -67,6 +68,19 @@ class TestSolveDivisible:
         assert run("solve-divisible", inst_path, "--trace", "--dump-lp") == EXIT_OK
         err = capsys.readouterr().err
         assert "<=" in err  # the LP dump mentions constraints
+        # Variables are named by 1-based (agent, good); at tau = (1, 1)
+        # each agent's only variable is its densest good.
+        assert "x[1,3]" in err and "x[2,2]" in err
+
+    def test_malformed_program_is_an_internal_error(
+        self, inst_path, monkeypatch, capsys
+    ):
+        def broken(lp):
+            raise LPStructureError("constraint 0: variable 9 out of range")
+
+        monkeypatch.setattr(divisible, "feasible", broken)
+        assert run("solve-divisible", inst_path) == EXIT_INTERNAL
+        assert "internal error" in capsys.readouterr().err
 
     def test_zero_size_instance_is_a_precondition_error(self, tmp_path):
         path = tmp_path / "inst.json"

@@ -14,14 +14,15 @@ from gapfair import (
     Instance,
     augment,
     best_feasible_value,
-    build_lp1,
-    build_lp2,
+    build_lp,
     check_density_domination,
     divisible_fef,
     fef_witness,
     internal_edge,
     verify_fef,
 )
+from gapfair import divisible
+from gapfair.cli import gen_random
 from gapfair.lp import EQ, LE, feasible
 from oracles import best_fractional_value_brute
 
@@ -43,7 +44,7 @@ class TestInternalEdge:
         sets = internal_edge(aug, (3, 3))  # m + 2 with m = 1
         assert sets.internal == ((0, 1), (0, 1))
         assert sets.edge == (None, None)
-        assert sets.edge_union == frozenset()
+        assert sets.support == ((0, 1), (0, 1))
         assert sets.internal_union == frozenset({0, 1})
 
     def test_follows_density_ordering(self):
@@ -53,6 +54,7 @@ class TestInternalEdge:
         sets = internal_edge(aug, (3,))
         assert sets.internal == ((2, 0),)
         assert sets.edge == (1,)
+        assert sets.support == ((0, 1, 2),)
 
     def test_tau_out_of_range(self):
         aug = augment(identical_pair())
@@ -64,7 +66,7 @@ class TestInternalEdge:
 class TestLpConstruction:
     def test_constraint_counts(self):
         aug = augment(identical_pair())
-        lp = build_lp1(aug, (2, 1))
+        lp, cols = build_lp(aug, (2, 1), EQ)
         # Internal goods: agent 0 has {0}; dominance rows: 1.
         dom = [
             c
@@ -72,12 +74,17 @@ class TestLpConstruction:
             if c.rhs == 0 and len(c.coeffs) == 2 and c.relation == LE
         ]
         assert len(dom) == 1
-        assert lp.var_count == 2 * 2  # n * (m + 1)
+        # Supports: agent 0 {0, fictional 1}, agent 1 {0}.
+        support = internal_edge(aug, (2, 1)).support
+        assert lp.var_count == sum(len(s) for s in support) == 3
+        assert cols == [(0, 0), (0, 1), (1, 0)]
+        # Every variable can be nonzero, so no row pins one to zero.
+        assert not any(len(c.coeffs) == 1 and c.rhs == 0 for c in lp.constraints)
 
     def test_budget_relation_differs(self):
         aug = augment(identical_pair())
-        lp1 = build_lp1(aug, (1, 1))
-        lp2 = build_lp2(aug, (1, 1))
+        lp1, _ = build_lp(aug, (1, 1), EQ)
+        lp2, _ = build_lp(aug, (1, 1), LE)
         rel1 = sorted(c.relation for c in lp1.constraints)
         rel2 = sorted(c.relation for c in lp2.constraints)
         assert rel1.count(EQ) == rel2.count(EQ) + 2  # budgets relaxed
@@ -86,15 +93,16 @@ class TestLpConstruction:
         inst = Instance(2, 2, ((3, 1), (1, 2)), ((1, 2), (2, 1)), (2, 2))
         aug = augment(inst)
         result = divisible_fef(inst)
-        lp2 = build_lp2(aug, result.tau)
-        z = [v for row in result.augmented_allocation.x for v in row]
+        lp2, cols = build_lp(aug, result.tau, LE)
+        x = result.augmented_allocation.x
+        z = [x[a][g] for a, g in cols]
         for c in lp2.constraints:
             lhs = sum((coef * z[j] for j, coef in c.coeffs.items()), Fraction(0))
             assert lhs == c.rhs if c.relation == EQ else lhs <= c.rhs
 
     def test_initial_relaxed_program_accepts_zero(self):
         aug = augment(identical_pair())
-        result = feasible(build_lp2(aug, (1, 1)))
+        result = feasible(build_lp(aug, (1, 1), LE)[0])
         assert result.feasible
 
     def test_saturated_threshold_is_infeasible(self):
@@ -102,8 +110,8 @@ class TestLpConstruction:
         # must take at least 1/n of it, which overruns every budget.
         inst = identical_pair()
         aug = augment(inst)
-        assert not feasible(build_lp2(aug, (3, 1))).feasible
-        assert not feasible(build_lp2(aug, (3, 3))).feasible
+        assert not feasible(build_lp(aug, (3, 1), LE)[0]).feasible
+        assert not feasible(build_lp(aug, (3, 3), LE)[0]).feasible
 
 
 class TestSolver:
@@ -129,6 +137,24 @@ class TestSolver:
         assert seen == [
             (i, tau) for i, tau in enumerate(result.tau_history[1:], start=1)
         ]
+
+    def test_invariant_check_solves_one_extra_lp(self, monkeypatch):
+        # Only the initial relaxed program needs its own solve; every later
+        # one was solved by the selection step that chose its tau.
+        calls = []
+        real = divisible.feasible
+
+        def counting(lp):
+            calls.append(lp)
+            return real(lp)
+
+        monkeypatch.setattr(divisible, "feasible", counting)
+        inst = gen_random(7, 3, 6)
+        divisible_fef(inst)
+        plain = len(calls)
+        calls.clear()
+        divisible_fef(inst, check_invariants=True)
+        assert len(calls) == plain + 1
 
     def test_zero_size_rejected(self):
         inst = Instance(1, 1, ((1,),), ((0,),), (1,))

@@ -104,12 +104,10 @@ class TestAugment:
         inst = small()
         aug = augment(inst)
         assert aug.m == inst.m + 1
-        assert aug.fictional == inst.m
-        assert all(aug.value(a, aug.fictional) == 0 for a in range(inst.n))
+        assert all(aug.value(a, inst.m) == 0 for a in range(inst.n))
         fict = 2 * inst.n * max(inst.budgets)
-        assert all(aug.size(a, aug.fictional) == fict for a in range(inst.n))
+        assert all(aug.size(a, inst.m) == fict for a in range(inst.n))
         assert all(fict > b for b in inst.budgets)
-        assert aug.base is inst
 
     def test_rejects_zero_sizes(self):
         inst = Instance(1, 1, ((1,),), ((0,),), (1,))
