@@ -188,6 +188,9 @@ def _cmd_solve_fefx(args) -> int:
 
 
 def _cmd_verify(args) -> int:
+    if (args.eps is None) == (args.mode == "apx-fefx"):
+        print("--eps is for --mode apx-fefx, which requires it", file=sys.stderr)
+        return EXIT_BAD_INPUT
     allocation, instance, _ = serialize.load_allocation(args.allocation)
     if args.mode == "fef":
         if not isinstance(allocation, FractionalAllocation):
@@ -208,10 +211,7 @@ def _cmd_verify(args) -> int:
     if not isinstance(allocation, IntegralAllocation):
         print(f"mode {args.mode} needs an integral allocation", file=sys.stderr)
         return EXIT_BAD_INPUT
-    eps = args.eps if args.mode == "apx-fefx" else Fraction(0)
-    if args.mode == "apx-fefx" and args.eps is None:
-        print("mode apx-fefx requires --eps", file=sys.stderr)
-        return EXIT_BAD_INPUT
+    eps = Fraction(0) if args.eps is None else args.eps
     witness = indivisible.fefx_witness(instance, allocation, eps)
     if witness is None:
         print("PASS")

@@ -14,6 +14,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
+from functools import cached_property
 from typing import Iterable, Sequence
 
 
@@ -70,6 +71,11 @@ class Instance:
                 raise ValueError(f"agent {a}: negative size")
             if self.budgets[a] < 1:
                 raise ValueError(f"agent {a}: budget must be >= 1")
+
+    @cached_property
+    def _orderings(self) -> dict[int, tuple[int, ...]]:
+        """density_ordering's per-agent memo, filled on first use."""
+        return {}
 
     # -- scalar accessors ---------------------------------------------------
 
@@ -137,11 +143,15 @@ def density_ordering(instance: Instance, agent: int) -> tuple[int, ...]:
 
     Ties are broken by ascending good index, so consecutive positions t
     satisfy either rho(pi(t)) > rho(pi(t+1)), or equal densities with
-    pi(t) < pi(t+1).  Deterministic; requires all sizes positive.
+    pi(t) < pi(t+1).  Deterministic; requires the agent's sizes positive.
+    Computed at most once per agent and instance.
     """
-    return tuple(
-        sorted(range(instance.m), key=lambda g: (-instance.density(agent, g), g))
-    )
+    memo = instance._orderings
+    if agent not in memo:
+        memo[agent] = tuple(
+            sorted(range(instance.m), key=lambda g: (-instance.density(agent, g), g))
+        )
+    return memo[agent]
 
 
 @dataclass(frozen=True)

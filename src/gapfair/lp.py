@@ -122,13 +122,9 @@ def feasible(lp: LinearProgram) -> FeasibilityResult:
     presolved = _presolve(rows, lo, up)
     if presolved is None:
         return INFEASIBLE
-    rows = presolved
-
-    values = _simplex(rows, lo, up)
-    if values is None:
+    point = _simplex(presolved, lo, up)
+    if point is None:
         return INFEASIBLE
-
-    point = tuple(values[j] if j in values else lo[j] for j in range(lp.var_count))
     # Exact soundness self-check; a failure here is an internal bug.
     if not _satisfies(lp, point):
         raise InternalError("simplex returned an infeasible point")
@@ -185,113 +181,65 @@ def _simplex(rows, lo, up):
     """Phase-1 bounded-variable simplex with Bland's rule.
 
     rows: list of (coeffs, relation, rhs) with >= 2 free variables each.
-    Returns {var: value} for the structural variables involved, or None.
+    Returns the point over all len(lo) variables, or None if infeasible.
     """
-    if not rows:
-        return {}
-
-    # Structural variables appearing in the rows, in index order.
-    struct = sorted({j for coeffs, _, _ in rows for j in coeffs})
-    col_of = {j: i for i, j in enumerate(struct)}
-    p = len(struct)
-
-    lows: list[Fraction] = [lo[j] for j in struct]
-    ups: list[Optional[Fraction]] = [up[j] for j in struct]
-
-    # Sparse tableau rows over columns: structural 0..p-1, then one slack
-    # per LE row, then one artificial per row that needs it; RHS keyed -1.
+    n = len(lo)
+    # Sparse tableau rows.  Columns 0..n-1 are the caller's variables; after
+    # them, row by row, one slack per LE row and one artificial per row that
+    # needs it.  beta[i] is the value of the basic variable basis[i].
+    lows: list[Fraction] = list(lo)
+    ups: list[Optional[Fraction]] = list(up)
     tab: list[dict[int, Fraction]] = []
     basis: list[int] = []
+    beta: list[Fraction] = []
     is_artificial: set[int] = set()
-    next_col = p
 
     for coeffs, rel, rhs in rows:
-        row = {col_of[j]: Fraction(c) for j, c in coeffs.items()}
-        residual = rhs - sum(
-            (c * lows[col_of[j]] for j, c in coeffs.items()), Fraction(0)
-        )
-        row[-1] = Fraction(rhs)
+        row = {j: Fraction(c) for j, c in coeffs.items()}
+        residual = rhs - sum((c * lo[j] for j, c in coeffs.items()), Fraction(0))
         if rel == LE:
-            slack = next_col
-            next_col += 1
+            row[len(lows)] = Fraction(1)
             lows.append(Fraction(0))
             ups.append(None)
-            row[slack] = Fraction(1)
-            if residual >= 0:
-                basis.append(slack)
-                tab.append(row)
-                continue
-        art = next_col
-        next_col += 1
-        lows.append(Fraction(0))
-        ups.append(None)
-        sign = Fraction(1) if residual >= 0 else Fraction(-1)
-        row[art] = sign
-        is_artificial.add(art)
-        if sign < 0:
-            row = {k: -v for k, v in row.items()}
-        basis.append(art)
+        if rel == EQ or residual < 0:
+            if residual < 0:
+                row = {k: -v for k, v in row.items()}
+            row[len(lows)] = Fraction(1)
+            is_artificial.add(len(lows))
+            lows.append(Fraction(0))
+            ups.append(None)
+        basis.append(len(lows) - 1)
+        beta.append(abs(residual))
         tab.append(row)
 
-    total = next_col
-    at_upper = [False] * total
-    in_basis = [False] * total
-    for v in basis:
-        in_basis[v] = True
-    dead = [False] * total  # artificials barred from re-entering
-
-    def nb_value(j: int) -> Fraction:
-        return ups[j] if at_upper[j] else lows[j]  # type: ignore[return-value]
+    # Phase-1 reduced costs, started as minus the sum of the artificial rows
+    # and kept current by _pivot as one more row.  They are exact on every
+    # non-artificial column, and zero on the basic ones.
+    cost: dict[int, Fraction] = {}
+    for row, bvar in zip(tab, basis):
+        if bvar in is_artificial:
+            for j, c in row.items():
+                cost[j] = cost.get(j, Fraction(0)) - c
+    at_upper = [False] * len(lows)
 
     while True:
-        # Current basic values given nonbasic variables at their bounds.
-        nonzero_nb = {
-            j: nb_value(j)
-            for j in range(total)
-            if not in_basis[j] and nb_value(j) != 0
-        }
-        beta = []
-        for row in tab:
-            v = row.get(-1, Fraction(0))
-            for j, val in nonzero_nb.items():
-                c = row.get(j)
-                if c is not None:
-                    v -= c * val
-            beta.append(v)
-
-        # Phase-1 reduced costs: d_j = c_j - sum over artificial basic rows.
-        y: dict[int, Fraction] = {}
-        for i, bvar in enumerate(basis):
-            if bvar in is_artificial:
-                for j, c in tab[i].items():
-                    y[j] = y.get(j, Fraction(0)) + c
-
-        entering = -1
-        for j in range(total):
-            if in_basis[j] or dead[j]:
-                continue
-            d = (Fraction(1) if j in is_artificial else Fraction(0)) - y.get(
-                j, Fraction(0)
-            )
-            if (not at_upper[j] and d < 0) or (at_upper[j] and d > 0):
-                entering = j
-                break
-        if entering == -1:
-            obj = sum(
-                beta[i] for i, bv in enumerate(basis) if bv in is_artificial
-            )
-            if obj != 0:
+        # An artificial never enters: once it has left, it stays at 0.
+        eligible = [
+            j
+            for j, d in cost.items()
+            if j not in is_artificial and (d > 0 if at_upper[j] else d < 0)
+        ]
+        if not eligible:
+            if sum(b for b, bv in zip(beta, basis) if bv in is_artificial) != 0:
                 return None
-            values = {}
-            for i, bv in enumerate(basis):
-                if bv < p:
-                    values[struct[bv]] = beta[i]
-            for j in range(p):
-                if not in_basis[j]:
-                    values[struct[j]] = nb_value(j)
-            return values
-
+            point = [up[j] if at_upper[j] else lo[j] for j in range(n)]
+            for bv, b in zip(basis, beta):
+                if bv < n:
+                    point[bv] = b
+            return tuple(point)
+        entering = min(eligible)
         direction = -1 if at_upper[entering] else 1
+        column = [(i, c) for i, row in enumerate(tab) if (c := row.get(entering))]
 
         # Ratio test: max step t >= 0 before some bound is hit.
         t_best: Optional[Fraction] = None
@@ -299,16 +247,13 @@ def _simplex(rows, lo, up):
         leaving_to_upper = False
         if ups[entering] is not None:
             t_best = ups[entering] - lows[entering]  # type: ignore[operator]
-        for i, row in enumerate(tab):
-            c = row.get(entering)
-            if not c:
-                continue
+        for i, c in column:
             rate = -direction * c  # change of beta[i] per unit step
             bvar = basis[i]
             if rate < 0:
                 t = (beta[i] - lows[bvar]) / (-rate)
                 hits_upper = False
-            elif rate > 0 and ups[bvar] is not None:
+            elif ups[bvar] is not None:
                 t = (ups[bvar] - beta[i]) / rate  # type: ignore[operator]
                 hits_upper = True
             else:
@@ -324,27 +269,27 @@ def _simplex(rows, lo, up):
         if t_best is None:
             raise InternalError("phase-1 objective unbounded below")
 
-        if leaving_row == -1:
+        for i, c in column:
+            beta[i] -= direction * c * t_best
+        if leaving_row == -1:  # bound flip: the entering variable crosses its box
             at_upper[entering] = not at_upper[entering]
             continue
-
+        start = ups[entering] if at_upper[entering] else lows[entering]
         leaving = basis[leaving_row]
-        _pivot(tab, leaving_row, entering)
+        _pivot([*tab, cost], leaving_row, entering)
         basis[leaving_row] = entering
-        in_basis[entering] = True
-        in_basis[leaving] = False
-        at_upper[entering] = False
+        beta[leaving_row] = start + direction * t_best  # type: ignore[operator]
         at_upper[leaving] = leaving_to_upper
-        if leaving in is_artificial:
-            dead[leaving] = True
 
 
-def _pivot(tab, r, col):
-    prow = tab[r]
+def _pivot(rows, r, col):
+    """Scale rows[r] to 1 at col and eliminate col from every other row."""
+    prow = rows[r]
     piv = prow[col]
     if piv != 1:
-        tab[r] = prow = {j: c / piv for j, c in prow.items()}
-    for i, row in enumerate(tab):
+        for j, c in prow.items():
+            prow[j] = c / piv
+    for i, row in enumerate(rows):
         if i == r:
             continue
         factor = row.get(col)

@@ -153,7 +153,9 @@ def load_allocation(
     doc = _load_json(path)
     if not isinstance(doc, dict):
         raise InstanceFormatError(f"{path}: expected a JSON object")
-    instance_path = Path(doc.get("instance", ""))
+    if not isinstance(doc.get("instance"), str):
+        raise InstanceFormatError("field 'instance': expected a path string")
+    instance_path = Path(doc["instance"])
     if not instance_path.is_absolute():
         instance_path = path.parent / instance_path
     if not instance_path.is_file():
@@ -172,6 +174,11 @@ def load_allocation(
         for row in raw:
             if not isinstance(row, list) or len(row) != instance.m:
                 raise InstanceFormatError("field 'x': ragged row")
+            for v in row:
+                if not isinstance(v, str):
+                    raise InstanceFormatError(
+                        f"field 'x': entry {v!r} is not a \"p/q\" string"
+                    )
             rows.append(tuple(frac_from_str(v) for v in row))
         try:
             allocation: FractionalAllocation | IntegralAllocation = (
@@ -183,12 +190,17 @@ def load_allocation(
         raw = doc.get("bundles")
         if not isinstance(raw, list) or len(raw) != instance.n:
             raise InstanceFormatError("field 'bundles': expected one per agent")
+        for bundle in raw:
+            if not isinstance(bundle, list) or not all(map(_is_int, bundle)):
+                raise InstanceFormatError(
+                    f"field 'bundles': expected a list of good indices, got {bundle!r}"
+                )
         try:
             allocation = IntegralAllocation(
                 instance.m,
                 tuple(frozenset(g - 1 for g in bundle) for bundle in raw),
             )
-        except (TypeError, ValueError) as exc:
+        except ValueError as exc:
             raise InstanceFormatError(str(exc)) from exc
     else:
         raise InstanceFormatError(f"field 'type': expected fractional/integral, got {kind!r}")

@@ -158,6 +158,55 @@ class TestSolveApproxFefx:
         assert run("solve-fefx", inst_path, "-o", out) == EXIT_OK
         assert run("verify", out, "--mode", "apx-fefx") == EXIT_BAD_INPUT
 
+    @pytest.mark.parametrize(
+        "solver, mode", [("solve-divisible", "fef"), ("solve-fefx", "fefx")]
+    )
+    def test_eps_rejected_outside_apx_mode(self, inst_path, tmp_path, solver, mode):
+        out = tmp_path / "alloc.json"
+        assert run(solver, inst_path, "-o", out) == EXIT_OK
+        assert run("verify", out, "--mode", mode, "--eps", "1/10") == EXIT_BAD_INPUT
+
+
+class TestMalformedAllocation:
+    @pytest.mark.parametrize(
+        "field, entry",
+        [
+            ("instance", 5),
+            ("x", None),
+            ("x", [1]),
+            ("x", True),
+            ("x", 0.5),
+            ("bundles", True),
+            ("bundles", 1.0),
+        ],
+        ids=[
+            "instance-number",
+            "x-null",
+            "x-list",
+            "x-true",
+            "x-float",
+            "bundle-true",
+            "bundle-float",
+        ],
+    )
+    def test_exits_2_naming_the_field(self, inst_path, tmp_path, capsys, field, entry):
+        out = tmp_path / "alloc.json"
+        fractional = field == "x"
+        solver = "solve-divisible" if fractional else "solve-fefx"
+        assert run(solver, inst_path, "-o", out) == EXIT_OK
+        doc = json.loads(out.read_text())
+        if field == "instance":
+            doc["instance"] = entry
+        elif fractional:
+            doc["x"][0][0] = entry
+        else:
+            doc["bundles"][0] = [entry]
+        out.write_text(json.dumps(doc))
+        capsys.readouterr()
+        mode = "fef" if fractional else "fefx"
+        assert run("verify", out, "--mode", mode) == EXIT_BAD_INPUT
+        assert f"field '{field}'" in capsys.readouterr().err
+
 
 class TestVerifyFailure:
     def test_fixture_allocation_fails_fef_with_witness(self, tmp_path, capsys):

@@ -156,6 +156,22 @@ class TestSolver:
         divisible_fef(inst, check_invariants=True)
         assert len(calls) == plain + 1
 
+    def test_density_orderings_computed_once_per_instance(self, monkeypatch):
+        calls = []
+        real = Instance.density
+
+        def counting(self, agent, good):
+            calls.append(agent)
+            return real(self, agent, good)
+
+        monkeypatch.setattr(Instance, "density", counting)
+        inst = gen_random(7, 3, 6)
+        result = divisible_fef(inst)
+        assert len(calls) == 3 * 7  # n(m+1): one ordering per augmented agent
+        calls.clear()
+        verify_fef(inst, result.allocation)
+        assert len(calls) == 3 * 6
+
     def test_zero_size_rejected(self):
         inst = Instance(1, 1, ((1,),), ((0,),), (1,))
         with pytest.raises(Exception, match="zero size"):

@@ -98,6 +98,13 @@ class TestDensityOrdering:
                 d1, d2 = inst.density(a, pi[t]), inst.density(a, pi[t + 1])
                 assert d1 > d2 or (d1 == d2 and pi[t] < pi[t + 1])
 
+    def test_zero_size_fails_only_its_agent(self):
+        inst = Instance(2, 2, ((1, 2), (1, 2)), ((1, 0), (1, 2)), (3, 3))
+        for _ in range(2):
+            with pytest.raises(ZeroSizeError):
+                density_ordering(inst, 0)
+            assert density_ordering(inst, 1) == (0, 1)
+
 
 class TestAugment:
     def test_fictional_good(self):
