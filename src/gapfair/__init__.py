@@ -44,7 +44,6 @@ from .knapsack import (
     KnapsackQuery,
     KnapsackSolution,
     apx_kns,
-    kns_brute,
     kns_exact,
     query_for_agent,
 )
@@ -90,7 +89,6 @@ __all__ = [
     "KnapsackQuery",
     "KnapsackSolution",
     "apx_kns",
-    "kns_brute",
     "kns_exact",
     "query_for_agent",
     "KnapsackProblem",

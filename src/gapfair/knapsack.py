@@ -1,9 +1,11 @@
-"""Knapsack oracles: exact weight-indexed DP, brute force, and an FPTAS.
+"""Knapsack oracles: exact and FPTAS, over one kernel of non-dominated
+(value, weight) states; the FPTAS feeds it floor-scaled values.
 
-These back the envy tests of the indivisible pipeline: an agent envies a
-set of goods iff the best feasible subset of it beats her own bundle.
-Weights, values and capacities are integers; the FPTAS accuracy parameter
-is an exact rational.
+The exact subset has maximum value; among those, least weight; remaining
+ties exclude the later item first.  These back the envy tests of the
+indivisible pipeline: an agent envies a set of goods iff the best feasible
+subset of it beats her own bundle.  Weights, values and capacities are
+integers; the FPTAS accuracy parameter is an exact rational.
 """
 
 from __future__ import annotations
@@ -14,8 +16,6 @@ from fractions import Fraction
 from typing import Iterable
 
 from .instance import Instance
-
-_BRUTE_LIMIT = 20
 
 
 @dataclass(frozen=True)
@@ -81,59 +81,51 @@ def _solution(q: KnapsackQuery, subset: frozenset[int]) -> KnapsackSolution:
     )
 
 
-def kns_exact(q: KnapsackQuery) -> KnapsackSolution:
-    """Maximum-value feasible subset via weight-indexed dynamic programming.
+def _best_subset(rest, scaled: list[int], cap: int) -> list[int]:
+    """Items of `rest` reaching the largest scaled total within `cap`.
 
-    Runs in O(|items| * capacity).  The returned subset is deterministic:
-    backtracking prefers excluding an item when both choices are optimal.
+    fronts[i] maps each scaled total reachable by the first i items to its
+    least weight, keeping only totals lighter than every larger total, so
+    no front holds more than min(cap, sum(scaled)) + 1 states.  The
+    backtrack keeps the least weight and excludes the later item on ties.
+    """
+    fronts = [{0: 0}]
+    for (_, w, _), sv in zip(rest, scaled):
+        merged = dict(fronts[-1])
+        for t, wt in fronts[-1].items():
+            if wt + w < merged.get(t + sv, cap + 1):
+                merged[t + sv] = wt + w
+        front, lightest = {}, cap + 1
+        for t in sorted(merged, reverse=True):
+            if merged[t] < lightest:
+                front[t] = lightest = merged[t]
+        fronts.append(front)
+    chosen: list[int] = []
+    t = max(fronts[-1])
+    for i in range(len(rest), 0, -1):
+        if fronts[i - 1].get(t) != fronts[i][t]:
+            chosen.append(rest[i - 1][0])
+            t -= scaled[i - 1]
+    return chosen
+
+
+def kns_exact(q: KnapsackQuery) -> KnapsackSolution:
+    """Maximum-value feasible subset.
+
+    The subset is deterministic: maximum value; among those, least weight;
+    remaining ties exclude the later item first.
     """
     forced, rest = _split_forced(q)
-    cap = q.capacity
-    k = len(rest)
-    # dp[i][w]: best value using the first i of rest within weight w.
-    dp = [[0] * (cap + 1)]
-    for _, w, v in rest:
-        prev = dp[-1]
-        row = prev[:]
-        for c in range(w, cap + 1):
-            cand = prev[c - w] + v
-            if cand > row[c]:
-                row[c] = cand
-        dp.append(row)
-    chosen: list[int] = []
-    c = cap
-    for i in range(k, 0, -1):
-        if dp[i][c] != dp[i - 1][c]:
-            item, w, _ = rest[i - 1]
-            chosen.append(item)
-            c -= w
+    chosen = _best_subset(rest, [v for _, _, v in rest], q.capacity)
     return _solution(q, frozenset(forced) | frozenset(chosen))
-
-
-def kns_brute(q: KnapsackQuery) -> KnapsackSolution:
-    """Exhaustive reference oracle over all subsets; |items| <= 20."""
-    k = len(q.items)
-    if k > _BRUTE_LIMIT:
-        raise ValueError(f"brute force limited to {_BRUTE_LIMIT} items")
-    best_mask, best_value = 0, 0
-    for mask in range(1 << k):
-        weight = value = 0
-        for i in range(k):
-            if mask >> i & 1:
-                weight += q.weights[i]
-                value += q.values[i]
-        if weight <= q.capacity and value > best_value:
-            best_mask, best_value = mask, value
-    subset = frozenset(q.items[i] for i in range(k) if best_mask >> i & 1)
-    return _solution(q, subset)
 
 
 def apx_kns(q: KnapsackQuery, eps: Fraction) -> KnapsackSolution:
     """Value-scaling FPTAS: feasible subset with value >= (1-eps) * optimum.
 
     Values are scaled by K = eps * v_max / |items| (K = 1 when the formula
-    yields less than 1, making the run exact) and a value-indexed DP picks
-    the cheapest way to each scaled total.
+    yields less than 1, making the run exact) and the kernel picks the
+    lightest subset reaching the largest scaled total.
     """
     eps = Fraction(eps)
     if not 0 < eps <= 1:
@@ -142,29 +134,7 @@ def apx_kns(q: KnapsackQuery, eps: Fraction) -> KnapsackSolution:
     if not rest:
         return _solution(q, frozenset(forced))
     vmax = max(v for _, _, v in rest)
-    scale = eps * vmax / len(rest)
-    if scale < 1:
-        scale = Fraction(1)
+    scale = max(eps * vmax / len(rest), Fraction(1))
     scaled = [math.floor(Fraction(v) / scale) for _, _, v in rest]
-    top = sum(scaled)
-    inf = q.capacity + 1
-    # dp[i][t]: min weight of a subset of the first i items with scaled
-    # value exactly t (inf when unreachable).
-    dp = [[0] + [inf] * top]
-    for (_, w, _), sv in zip(rest, scaled):
-        prev = dp[-1]
-        row = prev[:]
-        for t in range(sv, top + 1):
-            cand = prev[t - sv] + w
-            if cand < row[t]:
-                row[t] = cand
-        dp.append(row)
-    best_t = max(t for t in range(top + 1) if dp[-1][t] <= q.capacity)
-    chosen: list[int] = []
-    t = best_t
-    for i in range(len(rest), 0, -1):
-        if dp[i][t] != dp[i - 1][t]:
-            item, w, _ = rest[i - 1]
-            chosen.append(item)
-            t -= scaled[i - 1]
+    chosen = _best_subset(rest, scaled, q.capacity)
     return _solution(q, frozenset(forced) | frozenset(chosen))

@@ -12,6 +12,7 @@ from __future__ import annotations
 import hashlib
 import json
 import os
+import re
 from fractions import Fraction
 from pathlib import Path
 from typing import Any
@@ -29,10 +30,10 @@ def frac_to_str(f: Fraction) -> str:
 
 
 def frac_from_str(s: str) -> Fraction:
-    try:
-        return Fraction(s)
-    except (ValueError, ZeroDivisionError) as exc:
-        raise InstanceFormatError(f"bad rational {s!r}") from exc
+    """Inverse of frac_to_str: only "p/q" with an optional '-' is read."""
+    if not isinstance(s, str) or not re.fullmatch(r"-?[0-9]+/[0-9]*[1-9][0-9]*", s):
+        raise InstanceFormatError(f"bad rational {s!r}, expected a \"p/q\" string")
+    return Fraction(s)
 
 
 def _load_json(path: Path) -> Any:
@@ -174,12 +175,10 @@ def load_allocation(
         for row in raw:
             if not isinstance(row, list) or len(row) != instance.m:
                 raise InstanceFormatError("field 'x': ragged row")
-            for v in row:
-                if not isinstance(v, str):
-                    raise InstanceFormatError(
-                        f"field 'x': entry {v!r} is not a \"p/q\" string"
-                    )
-            rows.append(tuple(frac_from_str(v) for v in row))
+            try:
+                rows.append(tuple(frac_from_str(v) for v in row))
+            except InstanceFormatError as exc:
+                raise InstanceFormatError(f"field 'x': {exc}") from exc
         try:
             allocation: FractionalAllocation | IntegralAllocation = (
                 FractionalAllocation(tuple(rows))
@@ -191,9 +190,11 @@ def load_allocation(
         if not isinstance(raw, list) or len(raw) != instance.n:
             raise InstanceFormatError("field 'bundles': expected one per agent")
         for bundle in raw:
-            if not isinstance(bundle, list) or not all(map(_is_int, bundle)):
+            if not isinstance(bundle, list) or not all(
+                _is_int(g) and 1 <= g <= instance.m for g in bundle
+            ):
                 raise InstanceFormatError(
-                    f"field 'bundles': expected a list of good indices, got {bundle!r}"
+                    f"field 'bundles': expected indices 1..{instance.m}, got {bundle!r}"
                 )
         try:
             allocation = IntegralAllocation(

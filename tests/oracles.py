@@ -10,7 +10,10 @@ from fractions import Fraction
 from itertools import combinations, product
 
 from gapfair import Instance, IntegralAllocation
+from gapfair.knapsack import KnapsackQuery, KnapsackSolution
 from gapfair.lp import EQ, LE, LinearProgram
+
+_BRUTE_LIMIT = 20
 
 
 def solve_square(rows, rhs):
@@ -69,6 +72,25 @@ def lp_feasible_brute(lp: LinearProgram) -> bool:
         if point is not None and _point_ok(lp, point):
             return True
     return False
+
+
+def kns_brute(q: KnapsackQuery) -> KnapsackSolution:
+    """Exhaustive knapsack over all subsets; |items| <= 20.  Among optimal
+    subsets the one with the smallest bitmask (item i is bit i) wins."""
+    k = len(q.items)
+    if k > _BRUTE_LIMIT:
+        raise ValueError(f"brute force limited to {_BRUTE_LIMIT} items")
+    best_mask, best_value, best_weight = 0, 0, 0
+    for mask in range(1 << k):
+        weight = value = 0
+        for i in range(k):
+            if mask >> i & 1:
+                weight += q.weights[i]
+                value += q.values[i]
+        if weight <= q.capacity and value > best_value:
+            best_mask, best_value, best_weight = mask, value, weight
+    subset = frozenset(q.items[i] for i in range(k) if best_mask >> i & 1)
+    return KnapsackSolution(subset=subset, value=best_value, weight=best_weight)
 
 
 def best_subset_value_brute(instance: Instance, agent: int, goods) -> int:

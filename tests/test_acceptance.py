@@ -22,7 +22,6 @@ from gapfair import (
     compute_fefx,
     divisible_fef,
     fef_witness,
-    kns_brute,
     kns_exact,
     apx_kns,
     mnw_fixture,
@@ -37,7 +36,7 @@ from gapfair.instance import IntegralAllocation
 from gapfair.knapsack import KnapsackQuery
 from gapfair.lp import LE, feasible
 from gapfair.reductions import KnapsackProblem, parity_probe
-from oracles import best_subset_value_brute, fef_integral_exists, fefx_brute
+from oracles import best_subset_value_brute, fef_integral_exists, fefx_brute, kns_brute
 
 
 def report(num: int, ok: bool, detail: str) -> None:

@@ -178,6 +178,8 @@ class TestMalformedAllocation:
             ("x", 0.5),
             ("bundles", True),
             ("bundles", 1.0),
+            ("x", "0.0"),
+            ("x", " 1e-1 "),
         ],
         ids=[
             "instance-number",
@@ -187,6 +189,8 @@ class TestMalformedAllocation:
             "x-float",
             "bundle-true",
             "bundle-float",
+            "x-decimal-string",
+            "x-padded-string",
         ],
     )
     def test_exits_2_naming_the_field(self, inst_path, tmp_path, capsys, field, entry):
@@ -206,6 +210,18 @@ class TestMalformedAllocation:
         mode = "fef" if fractional else "fefx"
         assert run("verify", out, "--mode", mode) == EXIT_BAD_INPUT
         assert f"field '{field}'" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("good", [0, 4])
+    def test_bundle_index_reported_as_written(self, inst_path, tmp_path, capsys, good):
+        out = tmp_path / "alloc.json"
+        assert run("solve-fefx", inst_path, "-o", out) == EXIT_OK
+        doc = json.loads(out.read_text())
+        doc["bundles"][0] = [good]
+        out.write_text(json.dumps(doc))
+        capsys.readouterr()
+        assert run("verify", out, "--mode", "fefx") == EXIT_BAD_INPUT
+        err = capsys.readouterr().err
+        assert f"field 'bundles': expected indices 1..3, got [{good}]" in err
 
 
 class TestVerifyFailure:

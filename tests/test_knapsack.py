@@ -1,6 +1,9 @@
 """Knapsack oracle tests: exact DP vs brute force, FPTAS guarantees."""
 
+import random
+import time
 from fractions import Fraction
+from itertools import product
 
 import pytest
 from hypothesis import given, settings
@@ -10,10 +13,10 @@ from gapfair import (
     Instance,
     KnapsackQuery,
     apx_kns,
-    kns_brute,
     kns_exact,
     query_for_agent,
 )
+from oracles import kns_brute
 
 
 def query(weights, values, capacity, items=None):
@@ -80,6 +83,38 @@ class TestExact:
         assert exact.value == brute.value
         assert exact.weight <= q.capacity
         assert sum(q.values[q.items.index(g)] for g in exact.subset) == exact.value
+
+    def test_lightest_optimum_wins(self):
+        # Either item alone reaches the optimum 1; item 1 is lighter.
+        sol = kns_exact(KnapsackQuery((0, 1), (2, 1), (1, 1), 2))
+        assert sol.subset == frozenset({1})
+
+    def test_remaining_ties_exclude_the_later_item(self):
+        assert kns_exact(query([2, 2, 2], [3, 3, 3], 4)).subset == frozenset({0, 1})
+
+    @settings(max_examples=300, deadline=None)
+    @given(queries())
+    def test_weight_is_least_over_optimal_subsets(self, q):
+        totals = [
+            (sum(w for w, t in zip(q.weights, take) if t),
+             sum(v for v, t in zip(q.values, take) if t))
+            for take in product((0, 1), repeat=len(q.items))
+        ]
+        opt = kns_brute(q).value
+        lightest = min(w for w, v in totals if v == opt and w <= q.capacity)
+        assert kns_exact(q).weight == lightest
+
+    def test_huge_capacity_small_values(self):
+        rng = random.Random(0)
+        q = query(
+            [rng.randint(1, 2 * 10**11) for _ in range(20)],
+            [rng.randint(1, 10) for _ in range(20)],
+            10**12,
+        )
+        start = time.perf_counter()
+        sol = kns_exact(q)
+        assert time.perf_counter() - start < 1
+        assert sol.weight <= q.capacity < sum(q.weights)
 
     @settings(max_examples=60, deadline=None)
     @given(queries())

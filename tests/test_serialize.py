@@ -36,7 +36,7 @@ class TestFractions:
             assert frac_from_str(frac_to_str(f)) == f
 
     def test_bad_strings(self):
-        for s in ("", "1/0", "a/b"):
+        for s in ("", "1/0", "a/b", "0.0", " 1/2"):
             with pytest.raises(InstanceFormatError, match="rational"):
                 frac_from_str(s)
 
