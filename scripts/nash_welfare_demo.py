@@ -10,6 +10,7 @@ Example:
     python3 scripts/nash_welfare_demo.py
 """
 
+import sys
 from fractions import Fraction
 
 from gapfair import divisible_fef, fef_witness, mnw_fixture, verify_fef
@@ -33,7 +34,8 @@ def main() -> None:
         print(f"  agent {a + 1}: {tuple(str(v) for v in x.x[a])}")
 
     witness = fef_witness(inst, x)
-    assert witness is not None
+    if witness is None:
+        sys.exit("the Nash-welfare optimum unexpectedly passed verify_fef")
     print(
         f"\nx* is NOT envy-free: agent {witness.agent + 1} holds value "
         f"{witness.own_value / scale} but can extract "
@@ -41,7 +43,8 @@ def main() -> None:
     )
 
     result = divisible_fef(inst)
-    assert verify_fef(inst, result.allocation)
+    if not verify_fef(inst, result.allocation):
+        sys.exit("threshold solver output failed verify_fef")
     print(f"\nthreshold solver output (tau* = {result.tau}) IS envy-free:")
     for a in range(inst.n):
         print(f"  agent {a + 1}: {tuple(str(v) for v in result.allocation.x[a])}")

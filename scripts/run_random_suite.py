@@ -11,6 +11,7 @@ Example:
 
 import argparse
 import random
+import sys
 import time
 
 from gapfair import compute_fefx, divisible_fef, verify_fef, verify_fefx
@@ -36,11 +37,13 @@ def main() -> None:
         inst = gen_random(args.seed + 31 * i + 1, n, m)
 
         div = divisible_fef(inst)
-        assert verify_fef(inst, div.allocation)
+        if not verify_fef(inst, div.allocation):
+            sys.exit(f"instance {i}: divisible output failed verify_fef")
         div_iters.append(div.iterations)
 
         fefx = compute_fefx(inst)
-        assert verify_fefx(inst, fefx.allocation)
+        if not verify_fefx(inst, fefx.allocation):
+            sys.exit(f"instance {i}: FEFx output failed verify_fefx")
         swap_counts.append(len(fefx.swaps))
 
         if args.verbose:

@@ -21,6 +21,7 @@ from pathlib import Path
 
 from . import divisible, indivisible, reductions, serialize
 from .instance import (
+    CHARITY,
     FractionalAllocation,
     InfeasibleAllocationError,
     Instance,
@@ -187,6 +188,10 @@ def _cmd_solve_fefx(args) -> int:
     return EXIT_OK
 
 
+def _target_label(target) -> str:
+    return CHARITY if target == CHARITY else f"agent {target + 1}"
+
+
 def _cmd_verify(args) -> int:
     if (args.eps is None) == (args.mode == "apx-fefx"):
         print("--eps is for --mode apx-fefx, which requires it", file=sys.stderr)
@@ -200,11 +205,8 @@ def _cmd_verify(args) -> int:
         if witness is None:
             print("PASS: feasibly envy-free")
             return EXIT_OK
-        target = (
-            "charity" if witness.target == "charity" else f"agent {witness.target + 1}"
-        )
         print(
-            f"FAIL: agent {witness.agent + 1} envies {target} "
+            f"FAIL: agent {witness.agent + 1} envies {_target_label(witness.target)} "
             f"(own value {witness.own_value}, attainable {witness.best_value})"
         )
         return EXIT_FAIL
@@ -216,12 +218,9 @@ def _cmd_verify(args) -> int:
     if witness is None:
         print("PASS")
         return EXIT_OK
-    target = (
-        "charity" if witness.target == "charity" else f"agent {witness.target + 1}"
-    )
     print(
         f"FAIL: agent {witness.agent + 1} envies subset "
-        f"{sorted(g + 1 for g in witness.subset)} of {target} "
+        f"{sorted(g + 1 for g in witness.subset)} of {_target_label(witness.target)} "
         f"(own value {witness.own_value}, subset value {witness.subset_value})"
     )
     return EXIT_FAIL

@@ -15,6 +15,7 @@ from fractions import Fraction
 from typing import Callable, Optional
 
 from .instance import (
+    CHARITY,
     FractionalAllocation,
     InfeasibleAllocationError,
     Instance,
@@ -232,7 +233,7 @@ def best_feasible_value(
 @dataclass(frozen=True)
 class FefViolation:
     agent: int
-    target: int | str  # other agent index, or "charity"
+    target: int | str  # other agent index, or CHARITY
     own_value: Fraction
     best_value: Fraction
 
@@ -251,7 +252,7 @@ def fef_witness(
         targets: list[tuple[int | str, tuple[Fraction, ...]]] = [
             (b, allocation.x[b]) for b in range(instance.n) if b != a
         ]
-        targets.append(("charity", charity))
+        targets.append((CHARITY, charity))
         for label, vec in targets:
             best = best_feasible_value(instance, a, vec)
             if best > own:

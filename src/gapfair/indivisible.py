@@ -15,17 +15,16 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Callable, Optional, Union
+from typing import Callable, Iterator, Optional, Union
 
 from .instance import (
+    CHARITY,
     InfeasibleAllocationError,
     Instance,
     IntegralAllocation,
     InternalError,
 )
 from .knapsack import apx_kns, kns_exact, query_for_agent
-
-CHARITY = "charity"
 
 Target = Union[int, str]
 
@@ -37,7 +36,6 @@ class NotEnviedError(ValueError):
 @dataclass(frozen=True)
 class EnvyWitness:
     agent: int
-    target: Target
     subset: frozenset[int]
     value: int
 
@@ -67,7 +65,6 @@ def envies(
     allocation: IntegralAllocation,
     agent: int,
     target_goods: frozenset[int],
-    target: Target = CHARITY,
     eps: Fraction = Fraction(0),
 ) -> Optional[EnvyWitness]:
     """Witness that the agent envies the target set, or None.
@@ -82,7 +79,7 @@ def envies(
     best = kns_exact(query) if eps == 0 else apx_kns(query, eps / 2)
     own = instance.bundle_value(agent, allocation.bundles[agent])
     if (1 - eps / 2) * best.value > own:
-        return EnvyWitness(agent, target, best.subset, best.value)
+        return EnvyWitness(agent, best.subset, best.value)
     return None
 
 
@@ -140,6 +137,10 @@ def _swap_loop(instance, eps, check_invariants, trace) -> FefxResult:
     limit = n * max(sum(row) for row in instance.values) + 1
     while True:
         allocation = IntegralAllocation(instance.m, tuple(bundles))
+        if check_invariants and any(
+            v.target != CHARITY for v in _violations(instance, allocation, eps)
+        ):
+            raise InternalError("intermediate allocation lost FEFx among agents")
         try:
             mes = find_minimal_envied_subset(instance, allocation, eps)
         except NotEnviedError:
@@ -156,10 +157,6 @@ def _swap_loop(instance, eps, check_invariants, trace) -> FefxResult:
         swaps.append(record)
         if trace is not None:
             trace(record)
-        if check_invariants and not _fefx_among_agents(
-            instance, IntegralAllocation(instance.m, tuple(bundles)), eps
-        ):
-            raise InternalError("intermediate allocation lost FEFx among agents")
 
 
 def compute_fefx(
@@ -213,33 +210,40 @@ def _check_allocation(instance: Instance, allocation: IntegralAllocation) -> Non
 
 
 def _strict_subset_violation(
-    instance, allocation, agent, target, goods, eps: Fraction
+    instance, agent, own, target, goods, eps: Fraction
 ) -> Optional[FefxViolation]:
     """Best feasible strict subset of `goods`, compared at factor (1-eps).
 
-    Every strict subset of X is contained in X - g for some g, so taking
-    the knapsack optimum over each X - g is exact.
+    One knapsack over all of `goods` answers it.  An optimum that is a
+    strict subset is the best strict subset.  An optimum equal to `goods`
+    means the whole set fits the budget, so every strict subset fits too,
+    and the best one drops a least-valued good (the lowest index on ties).
     """
     if not goods:
         return None
-    own = instance.bundle_value(agent, allocation.bundles[agent])
-    for g in sorted(goods):
-        best = kns_exact(query_for_agent(instance, agent, goods - {g}))
-        if (1 - eps) * best.value > own:
-            return FefxViolation(agent, target, own, best.subset, best.value)
+    subset = kns_exact(query_for_agent(instance, agent, goods)).subset
+    if subset == goods:
+        subset = goods - {min(goods, key=lambda g: (instance.value(agent, g), g))}
+    value = instance.bundle_value(agent, subset)
+    if (1 - eps) * value > own:
+        return FefxViolation(agent, target, own, subset, value)
     return None
 
 
-def _fefx_among_agents(instance, allocation, eps: Fraction) -> bool:
+def _violations(instance, allocation, eps: Fraction) -> Iterator[FefxViolation]:
+    """FEFx violations at factor (1-eps), per agent: the other bundles in
+    ascending order, then the charity."""
+    charity = allocation.charity
     for a in range(instance.n):
-        for b in range(instance.n):
-            if b == a:
-                continue
-            if _strict_subset_violation(
-                instance, allocation, a, b, allocation.bundles[b], eps
-            ):
-                return False
-    return True
+        own = instance.bundle_value(a, allocation.bundles[a])
+        targets: list[tuple[Target, frozenset[int]]] = [
+            (b, allocation.bundles[b]) for b in range(instance.n) if b != a
+        ]
+        targets.append((CHARITY, charity))
+        for label, goods in targets:
+            violation = _strict_subset_violation(instance, a, own, label, goods, eps)
+            if violation:
+                yield violation
 
 
 def fefx_witness(
@@ -247,24 +251,15 @@ def fefx_witness(
     allocation: IntegralAllocation,
     eps: Fraction = Fraction(0),
 ) -> Optional[FefxViolation]:
-    """First FEFx violation at relaxation factor (1-eps), or None."""
+    """First FEFx violation at relaxation factor (1-eps), or None.
+
+    Its subset is the agent's best feasible strict subset of the target.
+    """
     eps = Fraction(eps)
     if not 0 <= eps < 1:
         raise ValueError("eps must lie in [0, 1)")
     _check_allocation(instance, allocation)
-    charity = allocation.charity
-    for a in range(instance.n):
-        targets: list[tuple[Target, frozenset[int]]] = [
-            (b, allocation.bundles[b]) for b in range(instance.n) if b != a
-        ]
-        targets.append((CHARITY, charity))
-        for label, goods in targets:
-            violation = _strict_subset_violation(
-                instance, allocation, a, label, goods, eps
-            )
-            if violation:
-                return violation
-    return None
+    return next(_violations(instance, allocation, eps), None)
 
 
 def verify_fefx(instance: Instance, allocation: IntegralAllocation) -> bool:

@@ -17,6 +17,9 @@ from fractions import Fraction
 from functools import cached_property
 from typing import Iterable, Sequence
 
+#: Envy-witness label of the unassigned goods; other targets are agent indices.
+CHARITY = "charity"
+
 
 class ZeroSizeError(ValueError):
     """A zero-size good was supplied to a pipeline that needs densities."""

@@ -1,6 +1,6 @@
 """Hardness harness and negative fixtures.
 
-The harness turns any FEFx solver into a knapsack optimizer: a
+The harness turns the FEFx solver into a knapsack optimizer: a
 single-agent gadget instance carries the knapsack items plus a probe good
 of odd value 2*mu + 1 and an always-infeasible filler good.  The parity
 of the agent's bundle value flips exactly at mu = v*/2, so binary search
@@ -16,10 +16,8 @@ from dataclasses import dataclass
 from fractions import Fraction
 from typing import Callable, Optional
 
-from .indivisible import FefxResult, compute_fefx
+from .indivisible import compute_fefx
 from .instance import FractionalAllocation, Instance
-
-FefxSolver = Callable[[Instance], FefxResult]
 
 
 @dataclass(frozen=True)
@@ -68,20 +66,17 @@ def build_gadget(kp: KnapsackProblem, mu: int) -> Instance:
     )
 
 
-def parity_probe(
-    kp: KnapsackProblem, mu: int, fefx_solver: FefxSolver = compute_fefx
-) -> str:
+def parity_probe(kp: KnapsackProblem, mu: int) -> str:
     """Parity ("even" or "odd") of the agent's value in an FEFx allocation
     of the gadget at mu."""
     instance = build_gadget(kp, mu)
-    result = fefx_solver(instance)
+    result = compute_fefx(instance)
     value = instance.bundle_value(0, result.allocation.bundles[0])
     return "odd" if value % 2 else "even"
 
 
 def solve_knapsack_via_fefx(
     kp: KnapsackProblem,
-    fefx_solver: FefxSolver = compute_fefx,
     probe_trace: Optional[Callable[[int, str], None]] = None,
 ) -> int:
     """Knapsack optimum computed through an FEFx oracle.
@@ -98,7 +93,7 @@ def solve_knapsack_via_fefx(
         halve = True
 
     def probe(mu: int) -> str:
-        parity = parity_probe(kp, mu, fefx_solver)
+        parity = parity_probe(kp, mu)
         if probe_trace is not None:
             probe_trace(mu, parity)
         return parity
@@ -157,8 +152,3 @@ def mnw_fixture() -> MnwFixture:
     )
     return MnwFixture(instance, x_star, MNW_VALUE_SCALE)
 
-
-def mnw_closed_form_share(delta: Fraction = Fraction(1, 8)) -> Fraction:
-    """Stationary point delta / (2 (2 - delta)) of the Nash product bound;
-    at delta = 1/8 it equals agent 1's share 1/30 of good 1."""
-    return delta / (2 * (2 - delta))

@@ -4,7 +4,8 @@ Instances hold only integers; rationals in allocation files are "p/q"
 strings so round-trips are bit-exact.  Good indices in files are 1-based.
 Allocation files reference the instance file they were solved from, by a
 path relative to the allocation file's directory, plus a content hash,
-so verification cannot silently run against the wrong instance.
+so verification cannot silently run against the wrong instance.  Their
+"charity" field must equal what the bundles (or x) leave unassigned.
 """
 
 from __future__ import annotations
@@ -146,6 +147,20 @@ def dump_integral(
     Path(path).write_text(json.dumps(doc, indent=2) + "\n")
 
 
+def _check_charity(doc: Any, expected: list, read) -> None:
+    """The file's charity must list `expected` in order, each entry as
+    `read` parses it (entries `read` rejects never match)."""
+    raw = doc.get("charity")
+    try:
+        ok = isinstance(raw, list) and [read(v) for v in raw] == expected
+    except InstanceFormatError:
+        ok = False
+    if not ok:
+        raise InstanceFormatError(
+            "field 'charity': does not equal what the allocation leaves unassigned"
+        )
+
+
 def load_allocation(
     path: str | Path,
 ) -> tuple[FractionalAllocation | IntegralAllocation, Instance, Path]:
@@ -185,10 +200,12 @@ def load_allocation(
             )
         except ValueError as exc:
             raise InstanceFormatError(str(exc)) from exc
+        _check_charity(doc, list(allocation.charity), frac_from_str)
     elif kind == "integral":
         raw = doc.get("bundles")
         if not isinstance(raw, list) or len(raw) != instance.n:
             raise InstanceFormatError("field 'bundles': expected one per agent")
+        seen: set[int] = set()
         for bundle in raw:
             if not isinstance(bundle, list) or not all(
                 _is_int(g) and 1 <= g <= instance.m for g in bundle
@@ -196,13 +213,18 @@ def load_allocation(
                 raise InstanceFormatError(
                     f"field 'bundles': expected indices 1..{instance.m}, got {bundle!r}"
                 )
-        try:
-            allocation = IntegralAllocation(
-                instance.m,
-                tuple(frozenset(g - 1 for g in bundle) for bundle in raw),
-            )
-        except ValueError as exc:
-            raise InstanceFormatError(str(exc)) from exc
+            for g in bundle:
+                if g in seen:
+                    raise InstanceFormatError(f"field 'bundles': good {g} listed twice")
+                seen.add(g)
+        allocation = IntegralAllocation(
+            instance.m, tuple(frozenset(g - 1 for g in bundle) for bundle in raw)
+        )
+        _check_charity(
+            doc,
+            sorted(g + 1 for g in allocation.charity),
+            lambda g: g if _is_int(g) else None,
+        )
     else:
         raise InstanceFormatError(f"field 'type': expected fractional/integral, got {kind!r}")
     return allocation, instance, instance_path

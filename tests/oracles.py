@@ -137,6 +137,17 @@ def best_fractional_value_brute(instance: Instance, agent: int, target) -> Fract
     return best
 
 
+def best_strict_subset_value_brute(instance: Instance, agent: int, goods) -> int:
+    """Maximum value over all budget-feasible strict subsets of `goods`."""
+    goods = sorted(goods)
+    best = 0
+    for r in range(len(goods)):  # strict subsets only
+        for combo in combinations(goods, r):
+            if instance.is_feasible_bundle(agent, combo):
+                best = max(best, instance.bundle_value(agent, combo))
+    return best
+
+
 def fefx_brute(instance: Instance, allocation: IntegralAllocation, eps=Fraction(0)) -> bool:
     """FEFx check by enumerating every feasible strict subset directly."""
     for a in range(instance.n):
@@ -144,13 +155,8 @@ def fefx_brute(instance: Instance, allocation: IntegralAllocation, eps=Fraction(
         targets = [allocation.bundles[b] for b in range(instance.n) if b != a]
         targets.append(allocation.charity)
         for goods in targets:
-            gl = sorted(goods)
-            for r in range(len(gl)):  # strict subsets only
-                for combo in combinations(gl, r):
-                    if not instance.is_feasible_bundle(a, combo):
-                        continue
-                    if (1 - eps) * instance.bundle_value(a, combo) > own:
-                        return False
+            if (1 - eps) * best_strict_subset_value_brute(instance, a, goods) > own:
+                return False
     return True
 
 

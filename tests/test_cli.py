@@ -223,6 +223,58 @@ class TestMalformedAllocation:
         err = capsys.readouterr().err
         assert f"field 'bundles': expected indices 1..3, got [{good}]" in err
 
+    @pytest.mark.parametrize(
+        "bundles", [[[2, 2], []], [[2], [2]]], ids=["same-bundle", "two-bundles"]
+    )
+    def test_good_listed_twice(self, inst_path, tmp_path, capsys, bundles):
+        out = tmp_path / "alloc.json"
+        assert run("solve-fefx", inst_path, "-o", out) == EXIT_OK
+        doc = json.loads(out.read_text())
+        doc["bundles"], doc["charity"] = bundles, [1, 3]
+        out.write_text(json.dumps(doc))
+        capsys.readouterr()
+        assert run("verify", out, "--mode", "fefx") == EXIT_BAD_INPUT
+        assert "field 'bundles': good 2 listed twice" in capsys.readouterr().err
+
+    @pytest.mark.parametrize(
+        "bundles, charity",
+        [
+            ([[1], [2]], None),
+            ([[1], [2]], [1]),
+            ([[1], [2]], [3, 3]),
+            ([[2, 3], []], [True]),
+        ],
+        ids=["missing", "disagrees", "repeated", "boolean"],
+    )
+    def test_integral_charity_checked(
+        self, inst_path, tmp_path, capsys, bundles, charity
+    ):
+        self._expect_charity_error(
+            inst_path, tmp_path, capsys, "fefx", bundles=bundles, charity=charity
+        )
+
+    @pytest.mark.parametrize(
+        "charity",
+        [None, ["1/2", "0/1", "0/1"], ["5/1", "5/1", "5/1"], [0, 0, 0]],
+        ids=["missing", "disagrees", "out-of-range", "numbers"],
+    )
+    def test_fractional_charity_checked(self, inst_path, tmp_path, capsys, charity):
+        self._expect_charity_error(inst_path, tmp_path, capsys, "fef", charity=charity)
+
+    @staticmethod
+    def _expect_charity_error(inst_path, tmp_path, capsys, mode, **fields):
+        out = tmp_path / "alloc.json"
+        solver = "solve-divisible" if mode == "fef" else "solve-fefx"
+        assert run(solver, inst_path, "-o", out) == EXIT_OK
+        doc = json.loads(out.read_text())
+        doc.update(fields)
+        if doc["charity"] is None:
+            del doc["charity"]
+        out.write_text(json.dumps(doc))
+        capsys.readouterr()
+        assert run("verify", out, "--mode", mode) == EXIT_BAD_INPUT
+        assert "field 'charity'" in capsys.readouterr().err
+
 
 class TestVerifyFailure:
     def test_fixture_allocation_fails_fef_with_witness(self, tmp_path, capsys):
@@ -239,6 +291,7 @@ class TestVerifyFailure:
         assert run("solve-fefx", inst_path, "-o", out) == EXIT_OK
         doc = json.loads(out.read_text())
         doc["bundles"] = [[], []]  # hand everything to charity
+        doc["charity"] = [1, 2, 3]
         out.write_text(json.dumps(doc))
         capsys.readouterr()
         code = run("verify", out, "--mode", "fefx")

@@ -25,7 +25,11 @@ from gapfair import (
     verify_approx_fefx,
     verify_fefx,
 )
-from oracles import best_subset_value_brute, fefx_brute
+from oracles import (
+    best_strict_subset_value_brute,
+    best_subset_value_brute,
+    fefx_brute,
+)
 
 
 def zero_size_good():
@@ -57,7 +61,7 @@ class TestEnvies:
     def test_no_envy_when_own_bundle_wins(self):
         inst = Instance(2, 2, ((4, 1), (1, 4)), ((1, 1), (1, 1)), (1, 1))
         alloc = IntegralAllocation(2, (frozenset({0}), frozenset({1})))
-        assert envies(inst, alloc, 0, alloc.bundles[1], target=1) is None
+        assert envies(inst, alloc, 0, alloc.bundles[1]) is None
 
     @settings(max_examples=80, deadline=None)
     @given(instance_with_allocation())
@@ -126,6 +130,17 @@ class TestComputeFefx:
         with pytest.raises(InternalError, match="growth"):
             compute_fefx(Instance(1, 1, ((1,),), ((1,),), (1,)))
 
+    def test_invariant_check_catches_envy_among_agents(self, monkeypatch):
+        # Granting both goods to agent 0 leaves agent 1 envying one of them.
+        monkeypatch.setattr(
+            indivisible,
+            "find_minimal_envied_subset",
+            lambda instance, allocation, eps: MinimalEnviedSet(frozenset({0, 1}), 0),
+        )
+        inst = Instance(2, 2, ((1, 1), (5, 5)), ((1, 1), (1, 1)), (2, 2))
+        with pytest.raises(InternalError, match="FEFx among agents"):
+            compute_fefx(inst, check_invariants=True)
+
     def test_trace_receives_every_swap(self):
         inst = Instance(2, 2, ((3, 1), (1, 3)), ((1, 1), (1, 1)), (1, 1))
         seen = []
@@ -182,6 +197,47 @@ class TestVerifiers:
         if not alloc.is_feasible(inst):
             return
         assert verify_approx_fefx(inst, alloc, eps) == fefx_brute(inst, alloc, eps)
+
+    @settings(max_examples=150, deadline=None)
+    @given(
+        instance_with_allocation(),
+        st.sampled_from([Fraction(0), Fraction(1, 4), Fraction(1, 10)]),
+    )
+    def test_witness_is_the_best_feasible_strict_subset(self, pair, eps):
+        inst, alloc = pair
+        if not alloc.is_feasible(inst):
+            return
+        w = fefx_witness(inst, alloc, eps)
+        if w is None:
+            return
+        target = alloc.charity if w.target == "charity" else alloc.bundles[w.target]
+        assert w.subset < target
+        assert inst.is_feasible_bundle(w.agent, w.subset)
+        assert w.subset_value == inst.bundle_value(w.agent, w.subset)
+        assert w.subset_value == best_strict_subset_value_brute(inst, w.agent, target)
+
+    @settings(max_examples=80, deadline=None)
+    @given(instance_with_allocation())
+    def test_one_knapsack_per_agent_and_target(self, pair):
+        inst, alloc = pair
+        if not alloc.is_feasible(inst):
+            return
+        scan = []  # (agent, goods) of every nonempty target, in scan order
+        for a in range(inst.n):
+            targets = [alloc.bundles[b] for b in range(inst.n) if b != a]
+            scan += [(a, goods) for goods in targets + [alloc.charity] if goods]
+        calls = []
+        kns_exact = indivisible.kns_exact
+
+        def counting(query):
+            calls.append((query.capacity, frozenset(query.items)))
+            return kns_exact(query)
+
+        with pytest.MonkeyPatch.context() as mp:
+            mp.setattr(indivisible, "kns_exact", counting)
+            fefx_witness(inst, alloc)
+        expected = [(inst.budgets[a], goods) for a, goods in scan]
+        assert calls == expected[: len(calls)]
 
 
 class TestApproxPipeline:

@@ -1,16 +1,20 @@
-"""The package's soundness checks must survive `python -O`, so no module
-under src/gapfair may rely on a bare `assert`."""
+"""The soundness checks must survive `python -O`, so no module under
+src/gapfair and no script under scripts/ may rely on a bare `assert`."""
 
 import ast
 from pathlib import Path
 
 import pytest
 
-SOURCES = sorted((Path(__file__).parent.parent / "src" / "gapfair").glob("*.py"))
+ROOT = Path(__file__).parent.parent
+SOURCES = sorted((ROOT / "src" / "gapfair").glob("*.py")) + sorted(
+    (ROOT / "scripts").glob("*.py")
+)
 
 
 def test_sources_found():
-    assert any(p.name == "divisible.py" for p in SOURCES)
+    names = {p.name for p in SOURCES}
+    assert {"divisible.py", "run_random_suite.py"} <= names
 
 
 @pytest.mark.parametrize("path", SOURCES, ids=lambda p: p.name)

@@ -20,7 +20,13 @@ from gapfair import (
     verify_fef,
 )
 from gapfair.knapsack import KnapsackQuery
-from gapfair.reductions import MNW_VALUE_SCALE, mnw_closed_form_share
+from gapfair.reductions import MNW_VALUE_SCALE
+
+
+def mnw_closed_form_share(delta: Fraction = Fraction(1, 8)) -> Fraction:
+    """Stationary point delta / (2 (2 - delta)) of the Nash product bound;
+    at delta = 1/8 it equals agent 1's share 1/30 of good 1."""
+    return delta / (2 * (2 - delta))
 
 
 def optimum(kp: KnapsackProblem) -> int:
