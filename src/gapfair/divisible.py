@@ -148,14 +148,15 @@ class DivisibleResult:
 
 def divisible_fef(
     instance: Instance,
-    check_invariants: bool = False,
     trace: Optional[Callable[[int, tuple[int, ...]], None]] = None,
 ) -> DivisibleResult:
     """Compute a feasibly envy-free fractional allocation.
 
     Starts from tau = (1,...,1) and, while the strict program is
     infeasible, advances the lowest-index agent k whose relaxed program at
-    tau + e_k is feasible.  The loop runs at most n(m+1) iterations.
+    tau + e_k is feasible.  Agents at tau_k = m+1 are skipped without a
+    solve, since no budget affords the fictional good that m+2 makes
+    internal.  The loop runs at most n(m+1) iterations.
     """
     aug = augment(instance)
     n, m = instance.n, instance.m
@@ -163,12 +164,9 @@ def divisible_fef(
     limit = n * (m + 1)
     iterations = 0
     history = [tuple(tau)]
-    # LP2 at the initial tau is checked here; every later tau is accepted
-    # only once the selection step's feasible() has returned a point of it.
-    if check_invariants and not feasible(build_lp(aug, tau, LE)[0]).feasible:
-        raise InternalError(
-            f"loop invariant broken: relaxed program infeasible at {tau}"
-        )
+    # LP2 at the initial tau has only <= rows with right-hand sides >= 0,
+    # so x = 0 satisfies it; every later tau is accepted only once the
+    # selection step's feasible() has returned a point of it.
     while True:
         lp, cols = build_lp(aug, tau, EQ)
         result = feasible(lp)
@@ -178,7 +176,10 @@ def divisible_fef(
         if iterations > limit:
             raise InternalError("threshold loop exceeded its n(m+1) bound")
         for k in range(n):
-            if tau[k] == m + 2:
+            # LP2 at tau_k = m+2 needs sum_a x[a,f] = 1 for the fictional
+            # good f, but budget B_a caps x[a,f] at B_a / (2n max B) <= 1/(2n),
+            # so the sum is at most 1/2: the program is infeasible.
+            if tau[k] == m + 1:
                 continue
             tau[k] += 1
             if feasible(build_lp(aug, tau, LE)[0]).feasible:

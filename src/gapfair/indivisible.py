@@ -15,7 +15,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Callable, Iterator, Optional, Union
+from typing import Callable, Optional, Union
 
 from .instance import (
     CHARITY,
@@ -123,7 +123,7 @@ def find_minimal_envied_subset(
         last = hit
 
 
-def _swap_loop(instance, eps, check_invariants, trace) -> FefxResult:
+def _swap_loop(instance, eps, trace) -> FefxResult:
     """Grant minimal envied subsets of the charity until nobody envies it.
 
     Each swap must leave the receiving agent with a bundle worth strictly
@@ -137,10 +137,6 @@ def _swap_loop(instance, eps, check_invariants, trace) -> FefxResult:
     limit = n * max(sum(row) for row in instance.values) + 1
     while True:
         allocation = IntegralAllocation(instance.m, tuple(bundles))
-        if check_invariants and any(
-            v.target != CHARITY for v in _violations(instance, allocation, eps)
-        ):
-            raise InternalError("intermediate allocation lost FEFx among agents")
         try:
             mes = find_minimal_envied_subset(instance, allocation, eps)
         except NotEnviedError:
@@ -161,16 +157,14 @@ def _swap_loop(instance, eps, check_invariants, trace) -> FefxResult:
 
 def compute_fefx(
     instance: Instance,
-    check_invariants: bool = False,
     trace: Optional[Callable[[SwapRecord], None]] = None,
 ) -> FefxResult:
     """Compute an FEFx allocation by minimal-envied-subset swaps.
 
     Social welfare strictly increases each iteration, so the loop runs at
-    most n * max_a v_a([m]) times.  check_invariants re-verifies FEFx
-    among the agents after every swap.
+    most n * max_a v_a([m]) times.
     """
-    return _swap_loop(instance, Fraction(0), check_invariants, trace)
+    return _swap_loop(instance, Fraction(0), trace)
 
 
 def compute_approx_fefx(
@@ -187,7 +181,7 @@ def compute_approx_fefx(
     eps = Fraction(eps)
     if not 0 < eps < 1:
         raise ValueError("eps must lie in (0, 1)")
-    return _swap_loop(instance, eps, False, trace)
+    return _swap_loop(instance, eps, trace)
 
 
 # -- verifiers ---------------------------------------------------------------
@@ -230,9 +224,21 @@ def _strict_subset_violation(
     return None
 
 
-def _violations(instance, allocation, eps: Fraction) -> Iterator[FefxViolation]:
-    """FEFx violations at factor (1-eps), per agent: the other bundles in
-    ascending order, then the charity."""
+def fefx_witness(
+    instance: Instance,
+    allocation: IntegralAllocation,
+    eps: Fraction = Fraction(0),
+) -> Optional[FefxViolation]:
+    """First FEFx violation at relaxation factor (1-eps), or None.
+
+    Scan order: per agent, the other bundles ascending, then the charity.
+    The witness subset is the agent's best feasible strict subset of the
+    target.
+    """
+    eps = Fraction(eps)
+    if not 0 <= eps < 1:
+        raise ValueError("eps must lie in [0, 1)")
+    _check_allocation(instance, allocation)
     charity = allocation.charity
     for a in range(instance.n):
         own = instance.bundle_value(a, allocation.bundles[a])
@@ -243,23 +249,8 @@ def _violations(instance, allocation, eps: Fraction) -> Iterator[FefxViolation]:
         for label, goods in targets:
             violation = _strict_subset_violation(instance, a, own, label, goods, eps)
             if violation:
-                yield violation
-
-
-def fefx_witness(
-    instance: Instance,
-    allocation: IntegralAllocation,
-    eps: Fraction = Fraction(0),
-) -> Optional[FefxViolation]:
-    """First FEFx violation at relaxation factor (1-eps), or None.
-
-    Its subset is the agent's best feasible strict subset of the target.
-    """
-    eps = Fraction(eps)
-    if not 0 <= eps < 1:
-        raise ValueError("eps must lie in [0, 1)")
-    _check_allocation(instance, allocation)
-    return next(_violations(instance, allocation, eps), None)
+                return violation
+    return None
 
 
 def verify_fefx(instance: Instance, allocation: IntegralAllocation) -> bool:

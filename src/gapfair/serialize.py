@@ -194,12 +194,17 @@ def load_allocation(
                 rows.append(tuple(frac_from_str(v) for v in row))
             except InstanceFormatError as exc:
                 raise InstanceFormatError(f"field 'x': {exc}") from exc
-        try:
-            allocation: FractionalAllocation | IntegralAllocation = (
-                FractionalAllocation(tuple(rows))
-            )
-        except ValueError as exc:
-            raise InstanceFormatError(str(exc)) from exc
+            for v in rows[-1]:
+                if not 0 <= v <= 1:
+                    raise InstanceFormatError(
+                        f"field 'x': entry {frac_to_str(v)} outside [0,1]"
+                    )
+        for g in range(instance.m):
+            if sum(row[g] for row in rows) > 1:
+                raise InstanceFormatError(f"field 'x': good {g + 1} over-assigned")
+        allocation: FractionalAllocation | IntegralAllocation = (
+            FractionalAllocation(tuple(rows))
+        )
         _check_charity(doc, list(allocation.charity), frac_from_str)
     elif kind == "integral":
         raw = doc.get("bundles")

@@ -148,16 +148,41 @@ def best_strict_subset_value_brute(instance: Instance, agent: int, goods) -> int
     return best
 
 
-def fefx_brute(instance: Instance, allocation: IntegralAllocation, eps=Fraction(0)) -> bool:
-    """FEFx check by enumerating every feasible strict subset directly."""
+def fefx_among_agents_brute(
+    instance: Instance, allocation: IntegralAllocation, eps=Fraction(0)
+) -> bool:
+    """No agent envies a feasible strict subset of another agent's bundle
+    (the charity is not compared).  The swap loop keeps this after every
+    swap."""
     for a in range(instance.n):
         own = instance.bundle_value(a, allocation.bundles[a])
-        targets = [allocation.bundles[b] for b in range(instance.n) if b != a]
-        targets.append(allocation.charity)
-        for goods in targets:
-            if (1 - eps) * best_strict_subset_value_brute(instance, a, goods) > own:
+        for b in range(instance.n):
+            if b == a:
+                continue
+            best = best_strict_subset_value_brute(instance, a, allocation.bundles[b])
+            if (1 - eps) * best > own:
                 return False
     return True
+
+
+def fefx_brute(instance: Instance, allocation: IntegralAllocation, eps=Fraction(0)) -> bool:
+    """FEFx check by enumerating every feasible strict subset directly."""
+    return fefx_among_agents_brute(instance, allocation, eps) and all(
+        (1 - eps) * best_strict_subset_value_brute(instance, a, allocation.charity)
+        <= instance.bundle_value(a, allocation.bundles[a])
+        for a in range(instance.n)
+    )
+
+
+def replay_swaps(instance: Instance, swaps) -> list[IntegralAllocation]:
+    """Every allocation a swap sequence passes through, the empty start
+    included: swap i hands its goods to its agent as her whole bundle."""
+    bundles = [frozenset()] * instance.n
+    replayed = [IntegralAllocation(instance.m, tuple(bundles))]
+    for record in swaps:
+        bundles[record.agent] = record.goods
+        replayed.append(IntegralAllocation(instance.m, tuple(bundles)))
+    return replayed
 
 
 def set_is_envied(instance: Instance, own_values, goods) -> bool:

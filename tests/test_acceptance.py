@@ -36,7 +36,14 @@ from gapfair.instance import IntegralAllocation
 from gapfair.knapsack import KnapsackQuery
 from gapfair.lp import LE, feasible
 from gapfair.reductions import KnapsackProblem, parity_probe
-from oracles import best_subset_value_brute, fef_integral_exists, fefx_brute, kns_brute
+from oracles import (
+    best_subset_value_brute,
+    fef_integral_exists,
+    fefx_among_agents_brute,
+    fefx_brute,
+    kns_brute,
+    replay_swaps,
+)
 
 
 def report(num: int, ok: bool, detail: str) -> None:
@@ -54,11 +61,11 @@ def random_instance(seed: int, max_n, max_m, max_value, max_size, max_budget):
 
 @pytest.fixture(scope="module")
 def divisible_suite():
-    """200 seeded instances solved with all debug invariants enabled."""
+    """200 seeded instances solved by the divisible pipeline."""
     suite = []
     for seed in range(200):
         inst = random_instance(seed, 4, 6, 10, 5, 20)
-        suite.append((inst, divisible_fef(inst, check_invariants=True)))
+        suite.append((inst, divisible_fef(inst)))
     return suite
 
 
@@ -68,7 +75,7 @@ def fefx_suite():
     suite = []
     for seed in range(200):
         inst = random_instance(1000 + seed, 3, 6, 8, 5, 10)
-        suite.append((inst, compute_fefx(inst, check_invariants=True)))
+        suite.append((inst, compute_fefx(inst)))
     return suite
 
 
@@ -89,10 +96,12 @@ def test_criterion_1_divisible_correctness(divisible_suite):
 
 
 def test_criterion_2_loop_invariant(divisible_suite):
-    # Part 1: the suite above ran with check_invariants=True.  The relaxed
-    # program at the initial tau is solved by that check; every later tau
-    # was accepted by the selection step only after feasible() returned a
-    # point of its relaxed program, which feasible() checks exactly.
+    # Part 1: the relaxed program at the initial tau is solved here; every
+    # later tau was accepted by the selection step only after feasible()
+    # returned a point of its relaxed program, which feasible() checks
+    # exactly.
+    for inst, _ in divisible_suite:
+        assert feasible(build_lp(augment(inst), [1] * inst.n, LE)[0]).feasible
     starts = sum(r.iterations + 1 for _, r in divisible_suite)
     # Part 2: any threshold vector with an entry at m+2 is infeasible.
     rng = random.Random(4242)
@@ -117,7 +126,7 @@ def test_criterion_3_nash_welfare_fixture():
     scale = fx.value_scale
     assert witness.own_value / scale == Fraction(31, 60)
     assert witness.best_value / scale == Fraction(465, 480)
-    result = divisible_fef(fx.instance, check_invariants=True)
+    result = divisible_fef(fx.instance)
     assert verify_fef(fx.instance, result.allocation)
     report(
         3,
@@ -158,6 +167,11 @@ def test_criterion_5_fefx_correctness(fefx_suite):
         alloc = result.allocation
         assert verify_fefx(inst, alloc)
         assert fefx_brute(inst, alloc)  # oracle agreement on the output
+        # No allocation along the way, the empty start included, lets an
+        # agent envy a strict subset of another agent's bundle.
+        assert all(
+            fefx_among_agents_brute(inst, a) for a in replay_swaps(inst, result.swaps)
+        )
         # Oracle agreement on an arbitrary feasible allocation as well.
         bundles = [set() for _ in range(inst.n)]
         for g in range(inst.m):
@@ -177,7 +191,8 @@ def test_criterion_5_fefx_correctness(fefx_suite):
         5,
         True,
         "200 instances FEFx-verified, matched the enumeration oracle, "
-        "welfare strictly increased, iteration and charity bounds held",
+        "FEFx among agents after every swap, welfare strictly increased, "
+        "iteration and charity bounds held",
     )
 
 
@@ -254,7 +269,10 @@ def test_criterion_8_hardness_harness():
 
 def test_criterion_9_zero_size_fixture():
     inst = Instance(2, 1, ((1,), (1,)), ((0,), (0,)), (1, 1))
-    result = compute_fefx(inst, check_invariants=True)
+    result = compute_fefx(inst)
+    assert all(
+        fefx_among_agents_brute(inst, a) for a in replay_swaps(inst, result.swaps)
+    )
     assert verify_fefx(inst, result.allocation)
     assert not fef_integral_exists(inst)
     report(

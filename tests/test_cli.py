@@ -180,6 +180,7 @@ class TestMalformedAllocation:
             ("bundles", 1.0),
             ("x", "0.0"),
             ("x", " 1e-1 "),
+            ("x", "3/2"),
         ],
         ids=[
             "instance-number",
@@ -191,6 +192,7 @@ class TestMalformedAllocation:
             "bundle-float",
             "x-decimal-string",
             "x-padded-string",
+            "x-above-one",
         ],
     )
     def test_exits_2_naming_the_field(self, inst_path, tmp_path, capsys, field, entry):
@@ -210,6 +212,16 @@ class TestMalformedAllocation:
         mode = "fef" if fractional else "fefx"
         assert run("verify", out, "--mode", mode) == EXIT_BAD_INPUT
         assert f"field '{field}'" in capsys.readouterr().err
+
+    def test_over_assigned_good_reported_1_based(self, inst_path, tmp_path, capsys):
+        out = tmp_path / "alloc.json"
+        assert run("solve-divisible", inst_path, "-o", out) == EXIT_OK
+        doc = json.loads(out.read_text())
+        doc["x"][0][0] = doc["x"][1][0] = "1/1"
+        out.write_text(json.dumps(doc))
+        capsys.readouterr()
+        assert run("verify", out, "--mode", "fef") == EXIT_BAD_INPUT
+        assert "field 'x': good 1 over-assigned" in capsys.readouterr().err
 
     @pytest.mark.parametrize("good", [0, 4])
     def test_bundle_index_reported_as_written(self, inst_path, tmp_path, capsys, good):

@@ -122,7 +122,7 @@ class TestSolver:
         assert result.iterations <= 1 * 2
 
     def test_identical_agents_split_equally(self):
-        result = divisible_fef(identical_pair(), check_invariants=True)
+        result = divisible_fef(identical_pair())
         assert result.allocation.x == ((Fraction(1, 2),), (Fraction(1, 2),))
         assert result.tau == (2, 2)
 
@@ -138,23 +138,26 @@ class TestSolver:
             (i, tau) for i, tau in enumerate(result.tau_history[1:], start=1)
         ]
 
-    def test_invariant_check_solves_one_extra_lp(self, monkeypatch):
-        # Only the initial relaxed program needs its own solve; every later
-        # one was solved by the selection step that chose its tau.
-        calls = []
-        real = divisible.feasible
+    def test_saturated_agents_are_skipped(self, monkeypatch):
+        # A threshold of m+2 makes the fictional good internal, which no
+        # budget can afford, so the loop never builds such a program.
+        taus, calls = [], []
+        real_build, real_feasible = divisible.build_lp, divisible.feasible
 
-        def counting(lp):
+        def recording_build(instance, tau, budget_relation):
+            taus.append(tuple(tau))
+            return real_build(instance, tau, budget_relation)
+
+        def counting_feasible(lp):
             calls.append(lp)
-            return real(lp)
+            return real_feasible(lp)
 
-        monkeypatch.setattr(divisible, "feasible", counting)
+        monkeypatch.setattr(divisible, "build_lp", recording_build)
+        monkeypatch.setattr(divisible, "feasible", counting_feasible)
         inst = gen_random(7, 3, 6)
         divisible_fef(inst)
-        plain = len(calls)
-        calls.clear()
-        divisible_fef(inst, check_invariants=True)
-        assert len(calls) == plain + 1
+        assert all(t <= inst.m + 1 for tau in taus for t in tau)
+        assert len(calls) == 38
 
     def test_density_orderings_computed_once_per_instance(self, monkeypatch):
         calls = []
@@ -186,7 +189,7 @@ class TestSolver:
     @settings(max_examples=25, deadline=None)
     @given(instances(max_agents=3, max_goods=4))
     def test_random_instances_are_fef(self, inst):
-        result = divisible_fef(inst, check_invariants=True)
+        result = divisible_fef(inst)
         assert result.iterations <= inst.n * (inst.m + 1)
         assert verify_fef(inst, result.allocation)
 

@@ -28,7 +28,9 @@ from gapfair import (
 from oracles import (
     best_strict_subset_value_brute,
     best_subset_value_brute,
+    fefx_among_agents_brute,
     fefx_brute,
+    replay_swaps,
 )
 
 
@@ -105,7 +107,10 @@ class TestMinimalEnviedSubset:
 class TestComputeFefx:
     def test_zero_size_good_instance(self):
         inst = zero_size_good()
-        result = compute_fefx(inst, check_invariants=True)
+        result = compute_fefx(inst)
+        assert all(
+            fefx_among_agents_brute(inst, a) for a in replay_swaps(inst, result.swaps)
+        )
         assert verify_fefx(inst, result.allocation)
         assert result.allocation.charity == frozenset()
 
@@ -130,16 +135,13 @@ class TestComputeFefx:
         with pytest.raises(InternalError, match="growth"):
             compute_fefx(Instance(1, 1, ((1,),), ((1,),), (1,)))
 
-    def test_invariant_check_catches_envy_among_agents(self, monkeypatch):
-        # Granting both goods to agent 0 leaves agent 1 envying one of them.
-        monkeypatch.setattr(
-            indivisible,
-            "find_minimal_envied_subset",
-            lambda instance, allocation, eps: MinimalEnviedSet(frozenset({0, 1}), 0),
-        )
+    def test_invariant_check_catches_envy_among_agents(self):
+        # Agent 0 holding both goods leaves agent 1 envying one of them.
         inst = Instance(2, 2, ((1, 1), (5, 5)), ((1, 1), (1, 1)), (2, 2))
-        with pytest.raises(InternalError, match="FEFx among agents"):
-            compute_fefx(inst, check_invariants=True)
+        planted = IntegralAllocation(2, (frozenset({0, 1}), frozenset()))
+        split = IntegralAllocation(2, (frozenset({0}), frozenset({1})))
+        assert not fefx_among_agents_brute(inst, planted)
+        assert fefx_among_agents_brute(inst, split)
 
     def test_trace_receives_every_swap(self):
         inst = Instance(2, 2, ((3, 1), (1, 3)), ((1, 1), (1, 1)), (1, 1))
@@ -150,7 +152,10 @@ class TestComputeFefx:
     @settings(max_examples=40, deadline=None)
     @given(instances(max_agents=3, max_goods=4, min_size=0))
     def test_random_outputs_pass_brute_fefx(self, inst):
-        result = compute_fefx(inst, check_invariants=True)
+        result = compute_fefx(inst)
+        replayed = replay_swaps(inst, result.swaps)
+        assert replayed[-1] == result.allocation
+        assert all(fefx_among_agents_brute(inst, a) for a in replayed)
         assert result.allocation.is_feasible(inst)
         assert verify_fefx(inst, result.allocation)
         assert fefx_brute(inst, result.allocation)

@@ -163,7 +163,7 @@ class TestMnwFixture:
 
     def test_solver_output_is_fef_on_the_same_instance(self):
         fx = mnw_fixture()
-        result = divisible_fef(fx.instance, check_invariants=True)
+        result = divisible_fef(fx.instance)
         assert verify_fef(fx.instance, result.allocation)
 
     def test_closed_form_share(self):

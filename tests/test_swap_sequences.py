@@ -12,6 +12,7 @@ from fractions import Fraction
 import pytest
 
 from gapfair import Instance, compute_approx_fefx, compute_fefx
+from oracles import fefx_among_agents_brute, replay_swaps
 
 
 def pinned_instance(seed):
@@ -201,6 +202,10 @@ def test_pins_cover_zero_sizes_and_fptas_rounding():
 def test_swap_sequences_unchanged(seed):
     inst = pinned_instance(seed)
     exact, tenth, quarter = PINNED[seed]
-    assert encode(compute_fefx(inst, check_invariants=True)) == exact
+    result = compute_fefx(inst)
+    assert encode(result) == exact
+    assert all(
+        fefx_among_agents_brute(inst, a) for a in replay_swaps(inst, result.swaps)
+    )
     assert encode(compute_approx_fefx(inst, Fraction(1, 10))) == tenth
     assert encode(compute_approx_fefx(inst, Fraction(1, 4))) == quarter
