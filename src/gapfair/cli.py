@@ -5,10 +5,10 @@ reduce-knapsack, fixtures, gen-random.  Solver outputs are always
 re-verified before being written; a verification failure exits nonzero
 (it signals an internal bug, never a silently emitted allocation).
 
-Exit codes: 0 success, 1 verification reported FAIL, 2 malformed input,
-3 precondition violation, 4 internal error (a solver output failed
-verification, or a solver raised InternalError or built a malformed
-program, LPStructureError).
+Exit codes: 0 success, 1 verification reported FAIL, 2 malformed input or
+a file that cannot be read or written, 3 precondition violation, 4
+internal error (a solver output failed verification, or a solver raised
+InternalError or built a malformed program, LPStructureError).
 """
 
 from __future__ import annotations
@@ -279,10 +279,8 @@ def main(argv=None) -> int:
     args = _parser().parse_args(argv)
     try:
         return _COMMANDS[args.command](args)
-    except FileNotFoundError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_BAD_INPUT
-    except serialize.InstanceFormatError as exc:
+    except (OSError, serialize.InstanceFormatError) as exc:
+        # An unreadable input or unwritable output file, or a malformed one.
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_BAD_INPUT
     except (InternalError, LPStructureError) as exc:

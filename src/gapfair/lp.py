@@ -3,14 +3,22 @@
 Only feasibility is decided (no optimization interface): the threshold
 loop of the divisible solver asks nothing else.  Variables carry native
 box bounds (bounded-variable simplex) and the pivot rule is Bland's, so
-the solve terminates without perturbation.  All arithmetic is on
-fractions.Fraction; a returned point satisfies every constraint exactly.
+the solve terminates without perturbation.
+
+The simplex runs on integers: each row is scaled by the lcm of its
+coefficient denominators, and all rows share one common denominator,
+|det B| of the current basis, which fraction-free pivots keep (Bareiss
+1968); every division they make is checked to be exact.
+fractions.Fraction is used only outside the simplex loop: in presolve,
+for the returned point, and in the self-check that the point satisfies
+every constraint exactly.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
 from fractions import Fraction
+from math import gcd, lcm
 from typing import Optional
 
 from .instance import InternalError
@@ -178,49 +186,75 @@ def _presolve(rows, lo, up):
 
 
 def _simplex(rows, lo, up):
-    """Phase-1 bounded-variable simplex with Bland's rule.
+    """Phase-1 bounded-variable simplex with Bland's rule, on integers.
 
     rows: list of (coeffs, relation, rhs) with >= 2 free variables each.
     Returns the point over all len(lo) variables, or None if infeasible.
     """
     n = len(lo)
-    # Sparse tableau rows.  Columns 0..n-1 are the caller's variables; after
-    # them, row by row, one slack per LE row and one artificial per row that
-    # needs it.  beta[i] is the value of the basic variable basis[i].
-    lows: list[Fraction] = list(lo)
-    ups: list[Optional[Fraction]] = list(up)
-    tab: list[dict[int, Fraction]] = []
+    # Integer tableau rows over one common denominator den = |det B|, which
+    # starts at 1 because the first basis is the slack/artificial identity.
+    # Columns 0..n-1 are the caller's variables; after them, row by row, one
+    # slack per LE row and one artificial per row that needs it.  Row i is
+    # scaled by scales[i], the lcm of its coefficient denominators, and its
+    # slack and artificial by the same factor, so they keep coefficient 1.
+    # beta[i] is den * q times the value of the basic variable basis[i],
+    # where q clears the denominators of the bounds and scaled right-hand
+    # sides; qlo/qup hold q times each column's bounds (None: unbounded).
+    scales = [lcm(*(c.denominator for c in coeffs.values())) for coeffs, _, _ in rows]
+    used = {j for coeffs, _, _ in rows for j in coeffs}
+    q = lcm(
+        *(lo[j].denominator for j in used),
+        *(up[j].denominator for j in used),
+        *(
+            rhs.denominator // gcd(s, rhs.denominator)
+            for (_, _, rhs), s in zip(rows, scales)
+        ),
+    )
+    qlo: list[int] = [0] * n
+    qup: list[Optional[int]] = [None] * n
+    for j in used:
+        qlo[j] = lo[j].numerator * (q // lo[j].denominator)
+        qup[j] = up[j].numerator * (q // up[j].denominator)
+    tab: list[dict[int, int]] = []
     basis: list[int] = []
-    beta: list[Fraction] = []
+    beta: list[int] = []
     is_artificial: set[int] = set()
 
-    for coeffs, rel, rhs in rows:
-        row = {j: Fraction(c) for j, c in coeffs.items()}
-        residual = rhs - sum((c * lo[j] for j, c in coeffs.items()), Fraction(0))
+    for (coeffs, rel, rhs), s in zip(rows, scales):
+        row = {j: c.numerator * (s // c.denominator) for j, c in coeffs.items()}
+        residual = rhs.numerator * (s * q // rhs.denominator) - sum(
+            c * qlo[j] for j, c in row.items()
+        )
         if rel == LE:
-            row[len(lows)] = Fraction(1)
-            lows.append(Fraction(0))
-            ups.append(None)
+            row[len(qlo)] = 1
+            qlo.append(0)
+            qup.append(None)
         if rel == EQ or residual < 0:
             if residual < 0:
                 row = {k: -v for k, v in row.items()}
-            row[len(lows)] = Fraction(1)
-            is_artificial.add(len(lows))
-            lows.append(Fraction(0))
-            ups.append(None)
-        basis.append(len(lows) - 1)
+            row[len(qlo)] = 1
+            is_artificial.add(len(qlo))
+            qlo.append(0)
+            qup.append(None)
+        basis.append(len(qlo) - 1)
         beta.append(abs(residual))
         tab.append(row)
 
-    # Phase-1 reduced costs, started as minus the sum of the artificial rows
-    # and kept current by _pivot as one more row.  They are exact on every
-    # non-artificial column, and zero on the basic ones.
-    cost: dict[int, Fraction] = {}
-    for row, bvar in zip(tab, basis):
-        if bvar in is_artificial:
-            for j, c in row.items():
-                cost[j] = cost.get(j, Fraction(0)) - c
-    at_upper = [False] * len(lows)
+    # Phase-1 reduced costs, scaled to integers: minus the sum of the
+    # artificial rows, row i weighted by weight // scales[i], so each column
+    # keeps the sign it has in the unscaled program.  _pivot keeps it current
+    # as one more row.  It is exact on every non-artificial column, and zero
+    # on the basic ones.
+    art_rows = [i for i, bvar in enumerate(basis) if bvar in is_artificial]
+    weight = lcm(*(scales[i] for i in art_rows))
+    cost: dict[int, int] = {}
+    for i in art_rows:
+        w = weight // scales[i]
+        for j, c in tab[i].items():
+            cost[j] = cost.get(j, 0) - w * c
+    at_upper = [False] * len(qlo)
+    den = 1
 
     while True:
         # An artificial never enters: once it has left, it stays at 0.
@@ -235,69 +269,114 @@ def _simplex(rows, lo, up):
             point = [up[j] if at_upper[j] else lo[j] for j in range(n)]
             for bv, b in zip(basis, beta):
                 if bv < n:
-                    point[bv] = b
+                    point[bv] = Fraction(b, den * q)
             return tuple(point)
         entering = min(eligible)
         direction = -1 if at_upper[entering] else 1
         column = [(i, c) for i, row in enumerate(tab) if (c := row.get(entering))]
 
-        # Ratio test: max step t >= 0 before some bound is hit.
-        t_best: Optional[Fraction] = None
+        # Ratio test: max step t >= 0 before some bound is hit.  A step is
+        # t = num / (q * k), and steps are compared by cross-multiplying.
+        best_num: Optional[int] = None
+        best_k = 0
         leaving_row = -1
         leaving_to_upper = False
-        if ups[entering] is not None:
-            t_best = ups[entering] - lows[entering]  # type: ignore[operator]
+        if qup[entering] is not None:
+            best_num, best_k = den * (qup[entering] - qlo[entering]), den
         for i, c in column:
-            rate = -direction * c  # change of beta[i] per unit step
             bvar = basis[i]
-            if rate < 0:
-                t = (beta[i] - lows[bvar]) / (-rate)
+            if direction * c > 0:  # beta[i] falls as the entering one moves
+                num = beta[i] - den * qlo[bvar]
                 hits_upper = False
-            elif ups[bvar] is not None:
-                t = (ups[bvar] - beta[i]) / rate  # type: ignore[operator]
+            elif qup[bvar] is not None:
+                num = den * qup[bvar] - beta[i]
                 hits_upper = True
             else:
                 continue
+            k = abs(c)
             if (
-                t_best is None
-                or t < t_best
-                or (t == t_best and leaving_row >= 0 and bvar < basis[leaving_row])
+                best_num is None
+                or num * best_k < best_num * k
+                or (
+                    num * best_k == best_num * k
+                    and leaving_row >= 0
+                    and bvar < basis[leaving_row]
+                )
             ):
-                t_best = t
+                best_num, best_k = num, k
                 leaving_row = i
                 leaving_to_upper = hits_upper
-        if t_best is None:
+        if best_num is None:
             raise InternalError("phase-1 objective unbounded below")
 
-        for i, c in column:
-            beta[i] -= direction * c * t_best
         if leaving_row == -1:  # bound flip: the entering variable crosses its box
+            width = qup[entering] - qlo[entering]  # type: ignore[operator]
+            shift = direction * width
+            for i, c in column:
+                beta[i] -= c * shift
             at_upper[entering] = not at_upper[entering]
             continue
-        start = ups[entering] if at_upper[entering] else lows[entering]
+        # The step moves the entering variable by t = best_num / (q * |p|);
+        # the new denominator is |p|, so every beta is rescaled with it.
+        start = qup[entering] if at_upper[entering] else qlo[entering]
+        step = direction * best_num
+        factors = dict(column)
+        for i, b in enumerate(beta):
+            scaled = best_k * b - factors.get(i, 0) * step
+            value = scaled // den
+            if value * den != scaled:
+                raise InternalError("inexact division in the simplex basic values")
+            beta[i] = value
+        beta[leaving_row] = best_k * start + step  # type: ignore[operator]
         leaving = basis[leaving_row]
-        _pivot([*tab, cost], leaving_row, entering)
+        den = _pivot([*tab, cost], leaving_row, entering, den)
         basis[leaving_row] = entering
-        beta[leaving_row] = start + direction * t_best  # type: ignore[operator]
         at_upper[leaving] = leaving_to_upper
 
 
-def _pivot(rows, r, col):
-    """Scale rows[r] to 1 at col and eliminate col from every other row."""
+def _pivot(rows, r, col, den):
+    """Fraction-free pivot on rows[r][col]; returns the new denominator.
+
+    rows are integer rows over the common denominator den.  Each other row
+    becomes (row * |p| - sgn(p) * row[col] * rows[r]) / den, an exact
+    division, and rows[r] becomes sgn(p) * rows[r]; the new common
+    denominator is |p|.  A row without col is only rescaled by |p| / den.
+    """
     prow = rows[r]
     piv = prow[col]
-    if piv != 1:
+    if piv < 0:
         for j, c in prow.items():
-            prow[j] = c / piv
+            prow[j] = -c
+    ap = abs(piv)
+    g = gcd(ap, den)
+    mul, div = ap // g, den // g
     for i, row in enumerate(rows):
         if i == r:
             continue
         factor = row.get(col)
-        if not factor:
-            continue
-        for j, c in prow.items():
-            nv = row.get(j, Fraction(0)) - factor * c
-            if nv:
-                row[j] = nv
-            else:
-                row.pop(j, None)
+        if factor:
+            if ap != 1:
+                for j, c in row.items():
+                    row[j] = c * ap
+            for j, c in prow.items():
+                nv = row.get(j, 0) - factor * c
+                if nv:
+                    row[j] = nv
+                else:
+                    del row[j]
+            if den != 1:
+                for j, c in row.items():
+                    value = c // den
+                    if value * den != c:
+                        raise InternalError("inexact division in the simplex tableau")
+                    row[j] = value
+        elif div != 1:
+            for j, c in row.items():
+                value = c // div
+                if value * div != c:
+                    raise InternalError("inexact division in the simplex tableau")
+                row[j] = value * mul
+        elif mul != 1:
+            for j, c in row.items():
+                row[j] = c * mul
+    return ap

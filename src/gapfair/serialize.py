@@ -39,10 +39,14 @@ def frac_from_str(s: str) -> Fraction:
 
 def _load_json(path: Path) -> Any:
     try:
-        with open(path) as fh:
+        with open(path, encoding="utf-8") as fh:
             return json.load(fh)
     except json.JSONDecodeError as exc:
         raise InstanceFormatError(f"{path}: invalid JSON at line {exc.lineno}") from exc
+    except UnicodeDecodeError as exc:
+        raise InstanceFormatError(f"{path}: not UTF-8 text ({exc.reason})") from exc
+    except RecursionError as exc:
+        raise InstanceFormatError(f"{path}: JSON nested too deeply") from exc
 
 
 def _is_int(v: Any) -> bool:

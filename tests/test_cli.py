@@ -98,6 +98,41 @@ class TestSolveDivisible:
         assert run("solve-divisible", path) == EXIT_BAD_INPUT
 
 
+class TestUnreadableFiles:
+    """Files that cannot be decoded, read or written exit 2 with a message."""
+
+    def test_deeply_nested_json(self, tmp_path, capsys):
+        path = tmp_path / "inst.json"
+        path.write_text("[" * 100000)
+        assert run("solve-divisible", path) == EXIT_BAD_INPUT
+        assert f"{path}: JSON nested too deeply" in capsys.readouterr().err
+
+    def test_non_utf8_file(self, tmp_path, capsys):
+        path = tmp_path / "inst.json"
+        path.write_bytes(b'{"n": 1, "m": 1, "values": [[\xff]]}')
+        assert run("solve-divisible", path) == EXIT_BAD_INPUT
+        assert f"{path}: not UTF-8 text" in capsys.readouterr().err
+
+    def test_directory_as_instance(self, tmp_path, capsys):
+        assert run("solve-divisible", tmp_path) == EXIT_BAD_INPUT
+        assert str(tmp_path) in capsys.readouterr().err
+
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            ("solve-divisible", "{inst}"),
+            ("solve-fefx", "{inst}"),
+            ("solve-approx-fefx", "{inst}", "--eps", "1/2"),
+            ("gen-random", "--seed", "1", "-n", "2", "-m", "2"),
+        ],
+        ids=lambda argv: argv[0],
+    )
+    def test_directory_as_output(self, inst_path, tmp_path, capsys, argv):
+        argv = [a.format(inst=inst_path) for a in argv]
+        assert run(*argv, "-o", tmp_path) == EXIT_BAD_INPUT
+        assert str(tmp_path) in capsys.readouterr().err
+
+
 class TestSolveFefx:
     def test_solve_verify_round_trip(self, inst_path, tmp_path, capsys):
         out = tmp_path / "alloc.json"

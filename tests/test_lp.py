@@ -7,12 +7,14 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from gapfair.instance import InternalError
 from gapfair.lp import (
     EQ,
     LE,
     Constraint,
     LinearProgram,
     LPStructureError,
+    _pivot,
     feasible,
 )
 from oracles import lp_feasible_brute
@@ -153,3 +155,62 @@ class TestAgainstVertexOracle:
     @given(random_lps())
     def test_deterministic(self, prog):
         assert feasible(prog).assignment == feasible(prog).assignment
+
+
+@st.composite
+def scaled_lps(draw):
+    """Programs that exercise the integer tableau's scalings: fractional
+    coefficients (denominators up to 7), rational boxes of which some are
+    fixed, and coefficients up to 10**6 in magnitude.  Three rows in four
+    take their value at a point of the box plus a small shift, so that
+    feasible programs are common; the others have a small right-hand side
+    of their own."""
+    k = draw(st.integers(1, 4))
+    rows = draw(st.integers(0, 5))
+    big = draw(st.sampled_from([3, 10**6]))
+    prog = LinearProgram(k)
+    rational = lambda lo, hi: st.builds(
+        Fraction, st.integers(lo, hi), st.integers(1, 7)
+    )
+    prog.lower = [draw(rational(-6, 6)) for _ in range(k)]
+    prog.upper = [lo + draw(rational(0, 6)) for lo in prog.lower]
+    inner = [
+        lo + (up - lo) * Fraction(draw(st.integers(0, 4)), 4)
+        for lo, up in zip(prog.lower, prog.upper)
+    ]
+    for _ in range(rows):
+        coeffs = {j: draw(rational(-big, big)) for j in range(k)}
+        rel = draw(st.sampled_from([LE, EQ]))
+        if draw(st.integers(0, 3)):
+            rhs = sum((c * inner[j] for j, c in coeffs.items()), draw(rational(-2, 1)))
+        else:
+            rhs = draw(rational(-6, 6))
+        prog.add(coeffs, rel, rhs)
+    return prog
+
+
+class TestScaledProgramsAgainstVertexOracle:
+    @settings(max_examples=150, deadline=None)
+    @given(scaled_lps())
+    def test_matches_brute_force_with_exact_points(self, prog):
+        result = feasible(prog)
+        assert result.feasible == lp_feasible_brute(prog)
+        if not result.feasible:
+            return
+        x = result.assignment
+        assert all(lo <= v <= up for lo, v, up in zip(prog.lower, x, prog.upper))
+        for c in prog.constraints:
+            lhs = sum((coef * x[j] for j, coef in c.coeffs.items()), Fraction(0))
+            assert lhs == c.rhs if c.relation == EQ else lhs <= c.rhs
+
+
+class TestIntegerPivot:
+    def test_pivot_divides_exactly_by_the_common_denominator(self):
+        rows = [{0: 2, 1: 1}, {0: 1, 2: 1}, {1: 3}]
+        assert _pivot(rows, 0, 0, 1) == 2
+        assert rows == [{0: 2, 1: 1}, {1: -1, 2: 2}, {1: 6}]
+
+    def test_wrong_common_denominator_raises(self):
+        rows = [{0: 2, 1: 1}, {0: 1, 2: 1}]
+        with pytest.raises(InternalError, match="inexact"):
+            _pivot(rows, 0, 0, 3)
