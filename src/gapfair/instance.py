@@ -15,7 +15,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import cached_property
-from typing import Iterable, Sequence
+from typing import Any, Iterable, Sequence
 
 #: Envy-witness label of the unassigned goods; other targets are agent indices.
 CHARITY = "charity"
@@ -27,6 +27,15 @@ class ZeroSizeError(ValueError):
 
 class InfeasibleAllocationError(ValueError):
     """An allocation violates budget or disjointness requirements."""
+
+
+def require_ints(**fields: Iterable[Any]) -> None:
+    """Refuse a float, bool or Fraction entry instead of computing with it;
+    bool is a subclass of int, so the type must be int exactly."""
+    for field, entries in fields.items():
+        for v in entries:
+            if type(v) is not int:
+                raise ValueError(f"{field} must be integers, got {v!r}")
 
 
 class InternalError(RuntimeError):
@@ -65,9 +74,11 @@ class Instance:
             raise ValueError("values/sizes must have one row per agent")
         if len(self.budgets) != self.n:
             raise ValueError("budgets must have one entry per agent")
+        require_ints(budgets=self.budgets)
         for a in range(self.n):
             if len(self.values[a]) != self.m or len(self.sizes[a]) != self.m:
                 raise ValueError(f"agent {a}: expected {self.m} goods per row")
+            require_ints(values=self.values[a], sizes=self.sizes[a])
             if any(v < 0 for v in self.values[a]):
                 raise ValueError(f"agent {a}: negative value")
             if any(s < 0 for s in self.sizes[a]):

@@ -15,7 +15,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from typing import Iterable
 
-from .instance import Instance
+from .instance import Instance, require_ints
 
 
 @dataclass(frozen=True)
@@ -30,6 +30,7 @@ class KnapsackQuery:
             raise ValueError("duplicate items in query")
         if len(self.weights) != len(self.items) or len(self.values) != len(self.items):
             raise ValueError("weights/values must align with items")
+        require_ints(weights=self.weights, values=self.values, capacity=[self.capacity])
         if any(w < 0 for w in self.weights) or any(v < 0 for v in self.values):
             raise ValueError("weights and values must be nonnegative")
         if self.capacity < 0:

@@ -5,10 +5,10 @@ loop of the divisible solver asks nothing else.  Variables carry native
 box bounds (bounded-variable simplex) and the pivot rule is Bland's, so
 the solve terminates without perturbation.
 
-The simplex runs on integers: each row is scaled by the lcm of its
-coefficient denominators, and all rows share one common denominator,
-|det B| of the current basis, which fraction-free pivots keep (Bareiss
-1968); every division they make is checked to be exact.
+The simplex runs on integers, and each tableau row keeps its own scale:
+the coefficient of its basic variable is its denominator.  A pivot
+combines only the rows that hold the entering column and divides each of
+them, together with its basic value, by their gcd.
 fractions.Fraction is used only outside the simplex loop: in presolve,
 for the returned point, and in the self-check that the point satisfies
 every constraint exactly.
@@ -35,7 +35,7 @@ class LPStructureError(ValueError):
 
 @dataclass
 class Constraint:
-    coeffs: dict[int, Fraction]
+    coeffs: dict[int, int | Fraction]
     relation: str
     rhs: Fraction
 
@@ -53,14 +53,11 @@ class LinearProgram:
         if not self.upper:
             self.upper = [Fraction(1)] * self.var_count
 
-    def add(self, coeffs: dict[int, Fraction | int], relation: str, rhs) -> None:
-        self.constraints.append(
-            Constraint(
-                {j: Fraction(c) for j, c in coeffs.items() if c != 0},
-                relation,
-                Fraction(rhs),
-            )
-        )
+    def add(self, coeffs: dict[int, int | Fraction], relation: str, rhs) -> None:
+        """Append a row; nonzero coefficients are stored as given."""
+        _check_exact([*coeffs.values(), rhs], f"constraint {len(self.constraints)}")
+        nonzero = {j: c for j, c in coeffs.items() if c != 0}
+        self.constraints.append(Constraint(nonzero, relation, Fraction(rhs)))
 
     def pretty(self, names: Optional[list[str]] = None) -> str:
         """Human-readable constraint listing (CLI debug dump)."""
@@ -88,15 +85,24 @@ class FeasibilityResult:
 INFEASIBLE = FeasibilityResult(None)
 
 
+def _check_exact(values: list, what: str) -> None:
+    # A float would be coerced to its binary expansion, and bool is an int.
+    if not {int, Fraction}.issuperset(map(type, values)):
+        bad = next(v for v in values if type(v) not in (int, Fraction))
+        raise LPStructureError(f"{what}: {bad!r} is not an int or Fraction")
+
+
 def _validate(lp: LinearProgram) -> None:
     if len(lp.lower) != lp.var_count or len(lp.upper) != lp.var_count:
         raise LPStructureError("bound vectors must match var_count")
+    _check_exact([*lp.lower, *lp.upper], "bounds")
     for j in range(lp.var_count):
         if lp.lower[j] > lp.upper[j]:
             raise LPStructureError(f"variable {j}: lower bound exceeds upper")
     for idx, c in enumerate(lp.constraints):
         if c.relation not in _RELATIONS:
             raise LPStructureError(f"constraint {idx}: bad relation {c.relation!r}")
+        _check_exact([*c.coeffs.values(), c.rhs], f"constraint {idx}")
         for j in c.coeffs:
             if j < 0 or j >= lp.var_count:
                 raise LPStructureError(f"constraint {idx}: variable {j} out of range")
@@ -192,15 +198,15 @@ def _simplex(rows, lo, up):
     Returns the point over all len(lo) variables, or None if infeasible.
     """
     n = len(lo)
-    # Integer tableau rows over one common denominator den = |det B|, which
-    # starts at 1 because the first basis is the slack/artificial identity.
-    # Columns 0..n-1 are the caller's variables; after them, row by row, one
-    # slack per LE row and one artificial per row that needs it.  Row i is
-    # scaled by scales[i], the lcm of its coefficient denominators, and its
-    # slack and artificial by the same factor, so they keep coefficient 1.
-    # beta[i] is den * q times the value of the basic variable basis[i],
-    # where q clears the denominators of the bounds and scaled right-hand
-    # sides; qlo/qup hold q times each column's bounds (None: unbounded).
+    # Integer tableau rows, each at its own scale.  Columns 0..n-1 are the
+    # caller's variables; after them, row by row, one slack per LE row and one
+    # artificial per row that needs it.  Row i starts scaled by scales[i], the
+    # lcm of its coefficient denominators, and its slack and artificial by the
+    # same factor, so they start at coefficient 1.  The coefficient
+    # d_i = tab[i][basis[i]] > 0 of the basic variable is the row's
+    # denominator: beta[i] is d_i * q times the value of basis[i], where q
+    # clears the denominators of the bounds and scaled right-hand sides;
+    # qlo/qup hold q times each column's bounds (None: unbounded).
     scales = [lcm(*(c.denominator for c in coeffs.values())) for coeffs, _, _ in rows]
     used = {j for coeffs, _, _ in rows for j in coeffs}
     q = lcm(
@@ -241,11 +247,12 @@ def _simplex(rows, lo, up):
         beta.append(abs(residual))
         tab.append(row)
 
-    # Phase-1 reduced costs, scaled to integers: minus the sum of the
-    # artificial rows, row i weighted by weight // scales[i], so each column
-    # keeps the sign it has in the unscaled program.  _pivot keeps it current
-    # as one more row.  It is exact on every non-artificial column, and zero
-    # on the basic ones.
+    # Phase-1 cost row, scaled to integers: minus the sum of the artificial
+    # rows, row i weighted by weight // scales[i], so each column keeps the
+    # sign it has in the unscaled program.  It omits the artificials' own
+    # unit cost, so it is the reduced-cost row only on the non-artificial
+    # columns, the only ones that may enter.  _pivot keeps it current as one
+    # more row, at a positive scale of its own.
     art_rows = [i for i, bvar in enumerate(basis) if bvar in is_artificial]
     weight = lcm(*(scales[i] for i in art_rows))
     cost: dict[int, int] = {}
@@ -254,7 +261,6 @@ def _simplex(rows, lo, up):
         for j, c in tab[i].items():
             cost[j] = cost.get(j, 0) - w * c
     at_upper = [False] * len(qlo)
-    den = 1
 
     while True:
         # An artificial never enters: once it has left, it stays at 0.
@@ -264,12 +270,12 @@ def _simplex(rows, lo, up):
             if j not in is_artificial and (d > 0 if at_upper[j] else d < 0)
         ]
         if not eligible:
-            if sum(b for b, bv in zip(beta, basis) if bv in is_artificial) != 0:
+            if any(b for b, bv in zip(beta, basis) if bv in is_artificial):
                 return None
             point = [up[j] if at_upper[j] else lo[j] for j in range(n)]
-            for bv, b in zip(basis, beta):
+            for row, bv, b in zip(tab, basis, beta):
                 if bv < n:
-                    point[bv] = Fraction(b, den * q)
+                    point[bv] = Fraction(b, row[bv] * q)
             return tuple(point)
         entering = min(eligible)
         direction = -1 if at_upper[entering] else 1
@@ -278,18 +284,19 @@ def _simplex(rows, lo, up):
         # Ratio test: max step t >= 0 before some bound is hit.  A step is
         # t = num / (q * k), and steps are compared by cross-multiplying.
         best_num: Optional[int] = None
-        best_k = 0
+        best_k = 1
         leaving_row = -1
         leaving_to_upper = False
         if qup[entering] is not None:
-            best_num, best_k = den * (qup[entering] - qlo[entering]), den
+            best_num = qup[entering] - qlo[entering]
         for i, c in column:
             bvar = basis[i]
+            d = tab[i][bvar]
             if direction * c > 0:  # beta[i] falls as the entering one moves
-                num = beta[i] - den * qlo[bvar]
+                num = beta[i] - d * qlo[bvar]
                 hits_upper = False
             elif qup[bvar] is not None:
-                num = den * qup[bvar] - beta[i]
+                num = d * qup[bvar] - beta[i]
                 hits_upper = True
             else:
                 continue
@@ -309,74 +316,55 @@ def _simplex(rows, lo, up):
         if best_num is None:
             raise InternalError("phase-1 objective unbounded below")
 
+        # The step moves the entering variable by t = best_num / (q * best_k).
+        step = direction * best_num
         if leaving_row == -1:  # bound flip: the entering variable crosses its box
-            width = qup[entering] - qlo[entering]  # type: ignore[operator]
-            shift = direction * width
             for i, c in column:
-                beta[i] -= c * shift
+                beta[i] -= c * step
             at_upper[entering] = not at_upper[entering]
             continue
-        # The step moves the entering variable by t = best_num / (q * |p|);
-        # the new denominator is |p|, so every beta is rescaled with it.
+        # It becomes basic in the pivot row, at coefficient |p| = best_k.
         start = qup[entering] if at_upper[entering] else qlo[entering]
-        step = direction * best_num
-        factors = dict(column)
-        for i, b in enumerate(beta):
-            scaled = best_k * b - factors.get(i, 0) * step
-            value = scaled // den
-            if value * den != scaled:
-                raise InternalError("inexact division in the simplex basic values")
-            beta[i] = value
-        beta[leaving_row] = best_k * start + step  # type: ignore[operator]
         leaving = basis[leaving_row]
-        den = _pivot([*tab, cost], leaving_row, entering, den)
+        _pivot([*tab, cost], leaving_row, entering, beta, step)
+        beta[leaving_row] = best_k * start + step  # type: ignore[operator]
         basis[leaving_row] = entering
         at_upper[leaving] = leaving_to_upper
 
 
-def _pivot(rows, r, col, den):
-    """Fraction-free pivot on rows[r][col]; returns the new denominator.
+def _pivot(rows, r, col, beta, step):
+    """Pivot on rows[r][col], each row at its own integer scale.
 
-    rows are integer rows over the common denominator den.  Each other row
-    becomes (row * |p| - sgn(p) * row[col] * rows[r]) / den, an exact
-    division, and rows[r] becomes sgn(p) * rows[r]; the new common
-    denominator is |p|.  A row without col is only rescaled by |p| / den.
+    rows[i] carries the basic-value numerator beta[i]; the last row, the
+    cost row, carries none.  rows[r] is negated if its entry is negative, so
+    that p = |rows[r][col]|.  Each other row with an entry c in col becomes
+    p * row - c * rows[r], its beta p * beta - c * step, and the two are
+    divided by their gcd.  Rows without col and their betas are left as
+    they are.
     """
     prow = rows[r]
-    piv = prow[col]
-    if piv < 0:
-        for j, c in prow.items():
-            prow[j] = -c
-    ap = abs(piv)
-    g = gcd(ap, den)
-    mul, div = ap // g, den // g
+    p = prow[col]
+    if p < 0:
+        p = -p
+        for j, v in prow.items():
+            prow[j] = -v
     for i, row in enumerate(rows):
-        if i == r:
+        c = row.get(col)
+        if not c or i == r:
             continue
-        factor = row.get(col)
-        if factor:
-            if ap != 1:
-                for j, c in row.items():
-                    row[j] = c * ap
-            for j, c in prow.items():
-                nv = row.get(j, 0) - factor * c
-                if nv:
-                    row[j] = nv
-                else:
-                    del row[j]
-            if den != 1:
-                for j, c in row.items():
-                    value = c // den
-                    if value * den != c:
-                        raise InternalError("inexact division in the simplex tableau")
-                    row[j] = value
-        elif div != 1:
-            for j, c in row.items():
-                value = c // div
-                if value * div != c:
-                    raise InternalError("inexact division in the simplex tableau")
-                row[j] = value * mul
-        elif mul != 1:
-            for j, c in row.items():
-                row[j] = c * mul
-    return ap
+        if p != 1:
+            for j, v in row.items():
+                row[j] = p * v
+        for j, v in prow.items():
+            nv = row.get(j, 0) - c * v
+            if nv:
+                row[j] = nv
+            else:
+                del row[j]
+        b = p * beta[i] - c * step if i < len(beta) else 0
+        g = gcd(b, *row.values())
+        if g > 1:
+            for j, v in row.items():
+                row[j] = v // g
+        if i < len(beta):
+            beta[i] = b // g

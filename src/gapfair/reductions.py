@@ -17,7 +17,7 @@ from fractions import Fraction
 from typing import Callable, Optional
 
 from .indivisible import compute_fefx
-from .instance import FractionalAllocation, Instance
+from .instance import FractionalAllocation, Instance, require_ints
 
 
 @dataclass(frozen=True)
@@ -31,6 +31,7 @@ class KnapsackProblem:
         object.__setattr__(self, "values", tuple(self.values))
         if len(self.weights) != len(self.values):
             raise ValueError("weights/values length mismatch")
+        require_ints(weights=self.weights, values=self.values, capacity=[self.capacity])
         if any(w < 0 for w in self.weights) or any(v < 0 for v in self.values):
             raise ValueError("weights and values must be nonnegative")
         if self.capacity < 0:

@@ -49,17 +49,12 @@ def _load_json(path: Path) -> Any:
         raise InstanceFormatError(f"{path}: JSON nested too deeply") from exc
 
 
-def _is_int(v: Any) -> bool:
-    # JSON true/false load as bool, which is a subclass of int.
-    return isinstance(v, int) and not isinstance(v, bool)
-
-
 def _int_list(doc: Any, field: str, length: int) -> list[int]:
     raw = doc.get(field)
     if not isinstance(raw, list) or len(raw) != length:
         raise InstanceFormatError(f"field {field!r}: expected {length} integers")
     for v in raw:
-        if not _is_int(v):
+        if type(v) is not int:
             raise InstanceFormatError(f"field {field!r}: non-integer entry {v!r}")
     return raw
 
@@ -75,7 +70,7 @@ def _int_matrix(doc: Any, field: str, rows: int, cols: int) -> list[list[int]]:
                 f"field {field!r} row {i + 1}: expected {cols} integers"
             )
         for v in row:
-            if not _is_int(v):
+            if type(v) is not int:
                 raise InstanceFormatError(
                     f"field {field!r} row {i + 1}: non-integer entry {v!r}"
                 )
@@ -89,7 +84,7 @@ def load_instance(path: str | Path) -> Instance:
     if not isinstance(doc, dict):
         raise InstanceFormatError(f"{path}: expected a JSON object")
     for field in ("n", "m"):
-        if not _is_int(doc.get(field)) or doc[field] < 1:
+        if type(doc.get(field)) is not int or doc[field] < 1:
             raise InstanceFormatError(f"field {field!r}: expected a positive integer")
     n, m = doc["n"], doc["m"]
     try:
@@ -217,7 +212,7 @@ def load_allocation(
         seen: set[int] = set()
         for bundle in raw:
             if not isinstance(bundle, list) or not all(
-                _is_int(g) and 1 <= g <= instance.m for g in bundle
+                type(g) is int and 1 <= g <= instance.m for g in bundle
             ):
                 raise InstanceFormatError(
                     f"field 'bundles': expected indices 1..{instance.m}, got {bundle!r}"
@@ -232,7 +227,7 @@ def load_allocation(
         _check_charity(
             doc,
             sorted(g + 1 for g in allocation.charity),
-            lambda g: g if _is_int(g) else None,
+            lambda g: g if type(g) is int else None,
         )
     else:
         raise InstanceFormatError(f"field 'type': expected fractional/integral, got {kind!r}")
@@ -244,9 +239,9 @@ def load_knapsack(path: str | Path) -> KnapsackProblem:
     doc = _load_json(path)
     if not isinstance(doc, dict):
         raise InstanceFormatError(f"{path}: expected a JSON object")
-    if not _is_int(doc.get("m")) or doc["m"] < 1:
+    if type(doc.get("m")) is not int or doc["m"] < 1:
         raise InstanceFormatError("field 'm': expected a positive integer")
-    if not _is_int(doc.get("capacity")):
+    if type(doc.get("capacity")) is not int:
         raise InstanceFormatError("field 'capacity': expected an integer")
     m = doc["m"]
     try:

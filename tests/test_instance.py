@@ -45,6 +45,15 @@ class TestInstanceValidation:
         with pytest.raises(ValueError, match="budget"):
             Instance(1, 1, ((1,),), ((1,),), (0,))
 
+    @pytest.mark.parametrize("bad", [Fraction(1, 2), 0.1, True, Fraction(1)])
+    def test_non_integer_entries_are_refused(self, bad):
+        with pytest.raises(ValueError, match="values"):
+            Instance(1, 2, ((bad, 1),), ((1, 1),), (1,))
+        with pytest.raises(ValueError, match="sizes"):
+            Instance(1, 2, ((1, 1),), ((1, bad),), (1,))
+        with pytest.raises(ValueError, match="budgets"):
+            Instance(1, 2, ((1, 1),), ((1, 1),), (bad,))
+
     def test_needs_agents_and_goods(self):
         with pytest.raises(ValueError):
             Instance(0, 1, (), (), ())

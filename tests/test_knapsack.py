@@ -49,6 +49,15 @@ class TestValidation:
         with pytest.raises(ValueError):
             query([1], [1], -1)
 
+    @pytest.mark.parametrize("bad", [Fraction(1, 2), 0.5, True, Fraction(1)])
+    def test_non_integer_inputs(self, bad):
+        with pytest.raises(ValueError, match="weights"):
+            query([bad], [1], 2)
+        with pytest.raises(ValueError, match="values"):
+            query([1], [bad], 2)
+        with pytest.raises(ValueError, match="capacity"):
+            query([1], [1], bad)
+
 
 class TestExact:
     def test_classic_example(self):

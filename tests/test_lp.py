@@ -2,12 +2,15 @@
 a vertex-enumeration oracle on random small programs."""
 
 from fractions import Fraction
+from math import gcd
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from gapfair.instance import InternalError
+import gapfair.lp as lp_module
+from gapfair import divisible_fef
+from gapfair.cli import gen_random
 from gapfair.lp import (
     EQ,
     LE,
@@ -101,6 +104,35 @@ class TestStructureErrors:
         prog = lp(1, [], lower=[1], upper=[0])
         with pytest.raises(LPStructureError, match="lower bound"):
             feasible(prog)
+
+    @pytest.mark.parametrize("bad", [0.5, True])
+    def test_add_refuses_float_and_bool(self, bad):
+        with pytest.raises(LPStructureError, match="not an int or Fraction"):
+            LinearProgram(2).add({0: bad, 1: 1}, LE, 1)
+        with pytest.raises(LPStructureError, match="not an int or Fraction"):
+            LinearProgram(2).add({0: 1, 1: 1}, LE, bad)
+
+    @pytest.mark.parametrize("bad", [0.5, True])
+    def test_feasible_refuses_float_and_bool(self, bad):
+        prog = LinearProgram(2)
+        prog.constraints.append(Constraint({0: bad, 1: 1}, LE, Fraction(1)))
+        with pytest.raises(LPStructureError, match="constraint 0"):
+            feasible(prog)
+        prog = LinearProgram(2)
+        prog.constraints.append(Constraint({0: 1, 1: 1}, LE, bad))
+        with pytest.raises(LPStructureError, match="constraint 0"):
+            feasible(prog)
+        prog = LinearProgram(2)
+        prog.upper = [Fraction(1), bad]
+        with pytest.raises(LPStructureError, match="bounds"):
+            feasible(prog)
+
+    def test_add_stores_coefficients_as_given(self):
+        prog = LinearProgram(3)
+        prog.add({0: 2, 1: Fraction(1, 2), 2: 0}, LE, 1)
+        (row,) = prog.constraints
+        assert row.coeffs == {0: 2, 1: Fraction(1, 2)}
+        assert type(row.coeffs[0]) is int and type(row.rhs) is Fraction
 
     def test_bad_bound_lengths(self):
         prog = LinearProgram(2)
@@ -205,12 +237,49 @@ class TestScaledProgramsAgainstVertexOracle:
 
 
 class TestIntegerPivot:
-    def test_pivot_divides_exactly_by_the_common_denominator(self):
-        rows = [{0: 2, 1: 1}, {0: 1, 2: 1}, {1: 3}]
-        assert _pivot(rows, 0, 0, 1) == 2
-        assert rows == [{0: 2, 1: 1}, {1: -1, 2: 2}, {1: 6}]
+    """_pivot(rows, r, col, beta, step): rows keep their own integer scales;
+    the last row is the cost row, which carries no beta."""
 
-    def test_wrong_common_denominator_raises(self):
-        rows = [{0: 2, 1: 1}, {0: 1, 2: 1}]
-        with pytest.raises(InternalError, match="inexact"):
-            _pivot(rows, 0, 0, 3)
+    def test_row_without_the_column_is_left_alone(self):
+        untouched = {1: 4, 4: 6}
+        rows = [{0: 2, 1: 2, 3: 1}, {0: 4, 2: 2}, untouched, {0: -2, 1: 1}]
+        beta = [5, 3, 7]
+        _pivot(rows, 0, 0, beta, 1)
+        assert rows[2] is untouched
+        assert untouched == {1: 4, 4: 6} and beta[2] == 7
+
+    def test_touched_rows_come_out_primitive(self):
+        rows = [{0: 2, 1: 2, 3: 1}, {0: 4, 2: 2}, {1: 4, 4: 6}, {0: -2, 1: 1}]
+        beta = [5, 3, 7]
+        _pivot(rows, 0, 0, beta, 1)
+        # 2 * row - 4 * pivot row, beta 2 * 3 - 4 * 1, all divided by 2.
+        assert rows[1] == {1: -4, 2: 2, 3: -2} and beta[1] == 1
+        assert gcd(*rows[1].values(), beta[1]) == 1
+        # The cost row 2 * cost + 2 * pivot row, divided by 2; no beta.
+        assert rows[3] == {1: 3, 3: 1}
+        assert rows[0] == {0: 2, 1: 2, 3: 1} and beta[0] == 5
+
+    def test_negative_pivot_negates_the_pivot_row(self):
+        rows = [{0: -3, 1: 1, 2: 2}, {0: 1, 3: 1}, {}]
+        beta = [4, 2]
+        _pivot(rows, 0, 0, beta, 1)
+        assert rows[0] == {0: 3, 1: -1, 2: -2}
+        # 3 * row - 1 * pivot row, beta 3 * 2 - 1 * 1.
+        assert rows[1] == {1: 1, 2: 2, 3: 3} and beta[1] == 5
+
+    def test_entries_stay_small_on_a_threshold_ladder(self, monkeypatch):
+        """The gcd reduction keeps every tableau entry of this solve within
+        36 bits; they reach 22 with it, 36 over one common denominator for
+        all rows, and thousands of bits with no reduction at all."""
+        widest = 0
+        real_pivot = lp_module._pivot
+
+        def measuring_pivot(rows, *args):
+            nonlocal widest
+            real_pivot(rows, *args)
+            bits = max(abs(v).bit_length() for row in rows for v in row.values())
+            widest = max(widest, bits)
+
+        monkeypatch.setattr(lp_module, "_pivot", measuring_pivot)
+        divisible_fef(gen_random(7, 5, 12))
+        assert 0 < widest <= 36

@@ -56,6 +56,15 @@ class TestKnapsackProblem:
         with pytest.raises(ValueError, match="capacity"):
             KnapsackProblem((1,), (2,), -1)
 
+    @pytest.mark.parametrize("bad", [Fraction(1, 2), 0.5, True, Fraction(2)])
+    def test_non_integer_inputs(self, bad):
+        with pytest.raises(ValueError, match="weights"):
+            KnapsackProblem((bad,), (2,), 3)
+        with pytest.raises(ValueError, match="values"):
+            KnapsackProblem((1,), (bad,), 3)
+        with pytest.raises(ValueError, match="capacity"):
+            KnapsackProblem((1,), (2,), bad)
+
 
 class TestGadget:
     def test_shape(self):
