@@ -23,6 +23,7 @@ from .instance import (
     Instance,
     IntegralAllocation,
     InternalError,
+    require_exact,
 )
 from .knapsack import apx_kns, kns_exact, query_for_agent
 
@@ -60,6 +61,13 @@ class FefxResult:
     swaps: tuple[SwapRecord, ...]
 
 
+def _unit_eps(eps) -> Fraction:
+    eps = require_exact("eps", eps)
+    if not 0 <= eps < 1:
+        raise ValueError("eps must lie in [0, 1)")
+    return eps
+
+
 def envies(
     instance: Instance,
     allocation: IntegralAllocation,
@@ -72,9 +80,9 @@ def envies(
     The agent envies a set iff (1 - eps/2) times the value of her best
     feasible subset of it strictly beats her own bundle.  The best subset
     comes from the exact knapsack DP when eps = 0 and from the FPTAS at
-    accuracy eps/2 otherwise.
+    accuracy eps/2 otherwise.  eps is an int or Fraction in [0, 1).
     """
-    eps = Fraction(eps)
+    eps = _unit_eps(eps)
     query = query_for_agent(instance, agent, target_goods)
     best = kns_exact(query) if eps == 0 else apx_kns(query, eps / 2)
     own = instance.bundle_value(agent, allocation.bundles[agent])
@@ -106,7 +114,7 @@ def find_minimal_envied_subset(
     envied), for eps > 0 the FPTAS's budget-feasible trim of it.  Raises
     NotEnviedError when no agent envies the charity in the first place.
     """
-    eps = Fraction(eps)
+    eps = _unit_eps(eps)
     charity = allocation.charity
     last = _first_envy(instance, allocation, charity, eps)
     if last is None:
@@ -178,7 +186,7 @@ def compute_approx_fefx(
     1/(1 - eps/2), which bounds the per-agent update count
     logarithmically.
     """
-    eps = Fraction(eps)
+    eps = require_exact("eps", eps)
     if not 0 < eps < 1:
         raise ValueError("eps must lie in (0, 1)")
     return _swap_loop(instance, eps, trace)
@@ -235,9 +243,7 @@ def fefx_witness(
     The witness subset is the agent's best feasible strict subset of the
     target.
     """
-    eps = Fraction(eps)
-    if not 0 <= eps < 1:
-        raise ValueError("eps must lie in [0, 1)")
+    eps = _unit_eps(eps)
     _check_allocation(instance, allocation)
     charity = allocation.charity
     for a in range(instance.n):

@@ -12,10 +12,11 @@ uses 1-based good indices.
 
 from __future__ import annotations
 
+from collections.abc import Iterable, Sequence
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import cached_property
-from typing import Any, Iterable, Sequence
+from typing import Any
 
 #: Envy-witness label of the unassigned goods; other targets are agent indices.
 CHARITY = "charity"
@@ -35,7 +36,23 @@ def require_ints(**fields: Iterable[Any]) -> None:
     for field, entries in fields.items():
         for v in entries:
             if type(v) is not int:
-                raise ValueError(f"{field} must be integers, got {v!r}")
+                raise ValueError(f"{field}: {v!r} is not an int")
+
+
+def require_exact(field: str, v: Any) -> Fraction:
+    """v as a Fraction; refuse anything but an int or a Fraction, so that a
+    float's binary expansion or a bool is never computed with."""
+    if type(v) not in (int, Fraction):
+        raise ValueError(f"{field}: {v!r} is not an int or Fraction")
+    return Fraction(v)
+
+
+def _rows(field: str, rows: Iterable[Any]) -> tuple[tuple[Any, ...], ...]:
+    rows = tuple(rows)
+    for row in rows:
+        if not isinstance(row, Sequence):
+            raise ValueError(f"{field}: row {row!r} is not a sequence")
+    return tuple(map(tuple, rows))
 
 
 class InternalError(RuntimeError):
@@ -63,8 +80,9 @@ class Instance:
     budgets: tuple[int, ...]
 
     def __post_init__(self) -> None:
-        object.__setattr__(self, "values", tuple(tuple(row) for row in self.values))
-        object.__setattr__(self, "sizes", tuple(tuple(row) for row in self.sizes))
+        require_ints(n=[self.n], m=[self.m])
+        object.__setattr__(self, "values", _rows("values", self.values))
+        object.__setattr__(self, "sizes", _rows("sizes", self.sizes))
         object.__setattr__(self, "budgets", tuple(self.budgets))
         if self.n < 1:
             raise ValueError("need at least one agent")
@@ -175,7 +193,7 @@ class FractionalAllocation:
     x: tuple[tuple[Fraction, ...], ...]
 
     def __post_init__(self) -> None:
-        rows = tuple(tuple(Fraction(v) for v in row) for row in self.x)
+        rows = tuple(tuple(require_exact("x", v) for v in row) for row in self.x)
         object.__setattr__(self, "x", rows)
         if not rows:
             raise ValueError("allocation needs at least one agent row")
@@ -232,8 +250,10 @@ class IntegralAllocation:
 
     def __post_init__(self) -> None:
         object.__setattr__(self, "bundles", tuple(frozenset(b) for b in self.bundles))
+        require_ints(m=[self.m])
         seen: set[int] = set()
         for a, bundle in enumerate(self.bundles):
+            require_ints(goods=bundle)
             for g in bundle:
                 if g < 0 or g >= self.m:
                     raise ValueError(f"good index {g} out of range")

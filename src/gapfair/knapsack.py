@@ -15,7 +15,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from typing import Iterable
 
-from .instance import Instance, require_ints
+from .instance import Instance, require_exact, require_ints
 
 
 @dataclass(frozen=True)
@@ -128,7 +128,7 @@ def apx_kns(q: KnapsackQuery, eps: Fraction) -> KnapsackSolution:
     yields less than 1, making the run exact) and the kernel picks the
     lightest subset reaching the largest scaled total.
     """
-    eps = Fraction(eps)
+    eps = require_exact("eps", eps)
     if not 0 < eps <= 1:
         raise ValueError("eps must lie in (0, 1]")
     forced, rest = _split_forced(q)

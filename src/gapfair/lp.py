@@ -251,8 +251,8 @@ def _simplex(rows, lo, up):
     # rows, row i weighted by weight // scales[i], so each column keeps the
     # sign it has in the unscaled program.  It omits the artificials' own
     # unit cost, so it is the reduced-cost row only on the non-artificial
-    # columns, the only ones that may enter.  _pivot keeps it current as one
-    # more row, at a positive scale of its own.
+    # columns, the only ones that may enter.  _pivot keeps it current apart
+    # from tab, at a positive scale of its own and with no beta.
     art_rows = [i for i, bvar in enumerate(basis) if bvar in is_artificial]
     weight = lcm(*(scales[i] for i in art_rows))
     cost: dict[int, int] = {}
@@ -283,12 +283,10 @@ def _simplex(rows, lo, up):
 
         # Ratio test: max step t >= 0 before some bound is hit.  A step is
         # t = num / (q * k), and steps are compared by cross-multiplying.
-        best_num: Optional[int] = None
+        best_num = None if qup[entering] is None else qup[entering] - qlo[entering]
         best_k = 1
         leaving_row = -1
         leaving_to_upper = False
-        if qup[entering] is not None:
-            best_num = qup[entering] - qlo[entering]
         for i, c in column:
             bvar = basis[i]
             d = tab[i][bvar]
@@ -325,46 +323,48 @@ def _simplex(rows, lo, up):
             continue
         # It becomes basic in the pivot row, at coefficient |p| = best_k.
         start = qup[entering] if at_upper[entering] else qlo[entering]
-        leaving = basis[leaving_row]
-        _pivot([*tab, cost], leaving_row, entering, beta, step)
+        _pivot(tab, leaving_row, entering, beta, step, column, cost)
         beta[leaving_row] = best_k * start + step  # type: ignore[operator]
+        at_upper[basis[leaving_row]] = leaving_to_upper
         basis[leaving_row] = entering
-        at_upper[leaving] = leaving_to_upper
 
 
-def _pivot(rows, r, col, beta, step):
-    """Pivot on rows[r][col], each row at its own integer scale.
+def _pivot(tab, r, col, beta, step, column, cost):
+    """Pivot on tab[r][col], each row at its own integer scale.
 
-    rows[i] carries the basic-value numerator beta[i]; the last row, the
-    cost row, carries none.  rows[r] is negated if its entry is negative, so
-    that p = |rows[r][col]|.  Each other row with an entry c in col becomes
-    p * row - c * rows[r], its beta p * beta - c * step, and the two are
-    divided by their gcd.  Rows without col and their betas are left as
-    they are.
+    column holds the (i, tab[i][col]) pairs of the rows that hold col; cost,
+    the reduced-cost row, holds col too and has no beta.  tab[r] is negated
+    if need be so that p = tab[r][col] > 0.  Each other listed row and cost
+    become p * row - c * tab[r], with c the row's entry in col, and a row's
+    beta p * beta - c * step; each row, with its beta, is then divided by
+    their gcd.  No other row is read or written.
     """
-    prow = rows[r]
+    prow = tab[r]
     p = prow[col]
     if p < 0:
         p = -p
         for j, v in prow.items():
             prow[j] = -v
-    for i, row in enumerate(rows):
-        c = row.get(col)
-        if not c or i == r:
-            continue
-        if p != 1:
-            for j, v in row.items():
-                row[j] = p * v
-        for j, v in prow.items():
-            nv = row.get(j, 0) - c * v
-            if nv:
-                row[j] = nv
-            else:
-                del row[j]
-        b = p * beta[i] - c * step if i < len(beta) else 0
-        g = gcd(b, *row.values())
-        if g > 1:
-            for j, v in row.items():
-                row[j] = v // g
-        if i < len(beta):
-            beta[i] = b // g
+    for i, c in column:
+        if i != r:
+            beta[i] = _combine(tab[i], c, p, prow, p * beta[i] - c * step)
+    _combine(cost, cost[col], p, prow, 0)
+
+
+def _combine(row, c, p, prow, b):
+    """Set row to p * row - c * prow; divide it and b by their gcd; return b."""
+    if p != 1:
+        for j, v in row.items():
+            row[j] = p * v
+    for j, v in prow.items():
+        nv = row.get(j, 0) - c * v
+        if nv:
+            row[j] = nv
+        else:
+            del row[j]
+    g = gcd(b, *row.values())
+    if g > 1:
+        for j, v in row.items():
+            row[j] = v // g
+        b //= g
+    return b

@@ -245,6 +245,38 @@ class TestVerifiers:
         assert calls == expected[: len(calls)]
 
 
+class TestExactEps:
+    """Every public entry refuses a float or bool eps instead of computing
+    with it, and the envy tests check eps in [0, 1) themselves."""
+
+    @staticmethod
+    def envied():
+        inst = Instance(1, 2, ((3, 5),), ((1, 3),), (3,))
+        return inst, empty_allocation(inst)
+
+    @pytest.mark.parametrize("bad", [0.1, 0.0, True, False])
+    def test_float_or_bool_eps_is_refused(self, bad):
+        inst, alloc = self.envied()
+        calls = [
+            lambda: envies(inst, alloc, 0, frozenset({0, 1}), eps=bad),
+            lambda: find_minimal_envied_subset(inst, alloc, bad),
+            lambda: compute_approx_fefx(inst, bad),
+            lambda: fefx_witness(inst, alloc, bad),
+            lambda: verify_approx_fefx(inst, alloc, bad),
+        ]
+        for call in calls:
+            with pytest.raises(ValueError, match="eps: .* is not an int or Fraction"):
+                call()
+
+    @pytest.mark.parametrize("eps", [Fraction(-1, 2), Fraction(1), 2, 3])
+    def test_envy_tests_check_the_eps_range(self, eps):
+        inst, alloc = self.envied()
+        with pytest.raises(ValueError, match=r"eps must lie in \[0, 1\)"):
+            envies(inst, alloc, 0, frozenset({0, 1}), eps=eps)
+        with pytest.raises(ValueError, match=r"eps must lie in \[0, 1\)"):
+            find_minimal_envied_subset(inst, alloc, eps)
+
+
 class TestApproxPipeline:
     def test_eps_validated(self):
         inst = zero_size_good()

@@ -53,6 +53,16 @@ class TestInstanceValidation:
             Instance(1, 2, ((1, 1),), ((1, bad),), (1,))
         with pytest.raises(ValueError, match="budgets"):
             Instance(1, 2, ((1, 1),), ((1, 1),), (bad,))
+        with pytest.raises(ValueError, match="^n: "):
+            Instance(bad, 2, ((1, 1),), ((1, 1),), (1,))
+        with pytest.raises(ValueError, match="^m: "):
+            Instance(1, bad, ((1, 1),), ((1, 1),), (1,))
+
+    def test_rows_must_be_sequences(self):
+        with pytest.raises(ValueError, match="^values: row 5 "):
+            Instance(1, 1, (5,), ((1,),), (1,))
+        with pytest.raises(ValueError, match="^sizes: row 5 "):
+            Instance(1, 1, ((1,),), (5,), (1,))
 
     def test_needs_agents_and_goods(self):
         with pytest.raises(ValueError):
@@ -150,6 +160,11 @@ class TestFractionalAllocation:
         with pytest.raises(ValueError, match="ragged"):
             FractionalAllocation(((Fraction(0), Fraction(0)), (Fraction(0),)))
 
+    @pytest.mark.parametrize("bad", [0.1, 0.5, True, False])
+    def test_rejects_float_or_bool_entries(self, bad):
+        with pytest.raises(ValueError, match="^x: "):
+            FractionalAllocation(((bad, Fraction(0)),))
+
     def test_feasibility_and_values(self):
         inst = small()
         alloc = FractionalAllocation(
@@ -184,3 +199,13 @@ class TestIntegralAllocation:
         assert alloc.charity == frozenset({0})
         assert alloc.welfare(inst) == 2 + 6
         assert alloc.is_feasible(inst)
+
+    @pytest.mark.parametrize("bad", [1.0, True])
+    def test_goods_must_be_ints(self, bad):
+        with pytest.raises(ValueError, match="^goods: "):
+            IntegralAllocation(2, (frozenset({bad}),))
+
+    @pytest.mark.parametrize("bad", [3.5, 3.0, True])
+    def test_m_must_be_an_int(self, bad):
+        with pytest.raises(ValueError, match="^m: "):
+            IntegralAllocation(bad, (frozenset({0}),))

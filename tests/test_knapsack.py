@@ -147,7 +147,7 @@ class TestBrute:
 class TestApprox:
     def test_rejects_bad_eps(self):
         q = query([1], [1], 1)
-        for eps in (Fraction(0), Fraction(2), Fraction(-1, 2)):
+        for eps in (Fraction(0), Fraction(2), Fraction(-1, 2), 0.5, 1.0, True):
             with pytest.raises(ValueError, match="eps"):
                 apx_kns(q, eps)
 

@@ -237,35 +237,50 @@ class TestScaledProgramsAgainstVertexOracle:
 
 
 class TestIntegerPivot:
-    """_pivot(rows, r, col, beta, step): rows keep their own integer scales;
-    the last row is the cost row, which carries no beta."""
+    """_pivot(tab, r, col, beta, step, column, cost): rows keep their own
+    integer scales; column lists the (i, tab[i][col]) pairs to combine, and
+    the cost row, which carries no beta, is passed on its own."""
 
     def test_row_without_the_column_is_left_alone(self):
         untouched = {1: 4, 4: 6}
-        rows = [{0: 2, 1: 2, 3: 1}, {0: 4, 2: 2}, untouched, {0: -2, 1: 1}]
+        tab = [{0: 2, 1: 2, 3: 1}, {0: 4, 2: 2}, untouched]
         beta = [5, 3, 7]
-        _pivot(rows, 0, 0, beta, 1)
-        assert rows[2] is untouched
+        _pivot(tab, 0, 0, beta, 1, [(0, 2), (1, 4)], {0: -2, 1: 1})
+        assert tab[2] is untouched
         assert untouched == {1: 4, 4: 6} and beta[2] == 7
 
-    def test_touched_rows_come_out_primitive(self):
-        rows = [{0: 2, 1: 2, 3: 1}, {0: 4, 2: 2}, {1: 4, 4: 6}, {0: -2, 1: 1}]
+    def test_unlisted_row_is_not_read_or_written(self):
+        # Row 2 holds column 0 but is not in column: only listed rows change.
+        unlisted = {0: 6, 4: 1}
+        tab = [{0: 2, 1: 2, 3: 1}, {0: 4, 2: 2}, unlisted]
         beta = [5, 3, 7]
-        _pivot(rows, 0, 0, beta, 1)
+        _pivot(tab, 0, 0, beta, 1, [(0, 2), (1, 4)], {0: -2, 1: 1})
+        assert tab[2] is unlisted
+        assert unlisted == {0: 6, 4: 1} and beta[2] == 7
+        assert tab[1] == {1: -4, 2: 2, 3: -2} and beta[1] == 1
+
+    def test_touched_rows_come_out_primitive(self):
+        tab = [{0: 2, 1: 2, 3: 1}, {0: 4, 2: 2}, {1: 4, 4: 6}]
+        cost = {0: -2, 1: 1}
+        beta = [5, 3, 7]
+        _pivot(tab, 0, 0, beta, 1, [(0, 2), (1, 4)], cost)
         # 2 * row - 4 * pivot row, beta 2 * 3 - 4 * 1, all divided by 2.
-        assert rows[1] == {1: -4, 2: 2, 3: -2} and beta[1] == 1
-        assert gcd(*rows[1].values(), beta[1]) == 1
+        assert tab[1] == {1: -4, 2: 2, 3: -2} and beta[1] == 1
+        assert gcd(*tab[1].values(), beta[1]) == 1
         # The cost row 2 * cost + 2 * pivot row, divided by 2; no beta.
-        assert rows[3] == {1: 3, 3: 1}
-        assert rows[0] == {0: 2, 1: 2, 3: 1} and beta[0] == 5
+        assert cost == {1: 3, 3: 1}
+        assert tab[0] == {0: 2, 1: 2, 3: 1} and beta[0] == 5
 
     def test_negative_pivot_negates_the_pivot_row(self):
-        rows = [{0: -3, 1: 1, 2: 2}, {0: 1, 3: 1}, {}]
+        tab = [{0: -3, 1: 1, 2: 2}, {0: 1, 3: 1}]
+        cost = {0: -1}
         beta = [4, 2]
-        _pivot(rows, 0, 0, beta, 1)
-        assert rows[0] == {0: 3, 1: -1, 2: -2}
+        _pivot(tab, 0, 0, beta, 1, [(0, -3), (1, 1)], cost)
+        assert tab[0] == {0: 3, 1: -1, 2: -2}
         # 3 * row - 1 * pivot row, beta 3 * 2 - 1 * 1.
-        assert rows[1] == {1: 1, 2: 2, 3: 3} and beta[1] == 5
+        assert tab[1] == {1: 1, 2: 2, 3: 3} and beta[1] == 5
+        # 3 * cost + 1 * pivot row.
+        assert cost == {1: -1, 2: -2}
 
     def test_entries_stay_small_on_a_threshold_ladder(self, monkeypatch):
         """The gcd reduction keeps every tableau entry of this solve within
