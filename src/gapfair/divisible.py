@@ -24,7 +24,7 @@ from .instance import (
     density_ordering,
     strip_fictional,
 )
-from .lp import EQ, LE, LinearProgram, feasible
+from .lp import EQ, LE, LinearProgram, feasible, resume, start
 
 
 @dataclass(frozen=True)
@@ -82,7 +82,9 @@ def build_lp(
 
     Only the x[a,g] with g in agent a's support are variables; every other
     entry is zero.  Returns the program and its column map: variable j is
-    x[cols[j]], agent-major with goods ascending.
+    x[cols[j]], agent-major with goods ascending.  Each row is keyed by what
+    it says, the same at every tau: ("dom", a, b, g) for x[b,g] <= x[a,g],
+    ("budget", a) and ("supply", g).
     """
     sets = internal_edge(instance, tau)
     support = sets.support
@@ -92,26 +94,28 @@ def build_lp(
     for a, g in cols:
         holders.setdefault(g, []).append(a)
     lp = LinearProgram(len(cols))
+    zero, one = Fraction(0), Fraction(1)  # shared, so add() converts no rhs
 
     # Dominance on internal goods; an agent without g in its support holds none.
     for a in range(instance.n):
         for g in sets.internal[a]:
             for b in holders[g]:
                 if b != a:
-                    lp.add({var[b, g]: 1, var[a, g]: -1}, LE, 0)
+                    lp.add({var[b, g]: 1, var[a, g]: -1}, LE, zero, ("dom", a, b, g))
     for a in range(instance.n):
         lp.add(
             {var[a, g]: instance.size(a, g) for g in support[a]},
             budget_relation,
-            instance.budgets[a],
+            Fraction(instance.budgets[a]),
+            ("budget", a),
         )
     # Internal goods fully assigned; supply caps on the other supported goods.
     internal_union = sets.internal_union
     for g in sorted(internal_union):
-        lp.add({var[a, g]: 1 for a in holders[g]}, EQ, 1)
+        lp.add({var[a, g]: 1 for a in holders[g]}, EQ, one, ("supply", g))
     for g in sorted(holders):
         if g not in internal_union:
-            lp.add({var[a, g]: 1 for a in holders[g]}, LE, 1)
+            lp.add({var[a, g]: 1 for a in holders[g]}, LE, one, ("supply", g))
     return lp, cols
 
 
@@ -157,6 +161,10 @@ def divisible_fef(
     tau + e_k is feasible.  Agents at tau_k = m+1 are skipped without a
     solve, since no budget affords the fictional good that m+2 makes
     internal.  The loop runs at most n(m+1) iterations.
+
+    LP1(tau) is solved cold: its point is the allocation.  Each trial
+    LP2(tau + e_k) only grows the last accepted LP2(tau), so it resumes
+    from that program's final tableau.
     """
     aug = augment(instance)
     n, m = instance.n, instance.m
@@ -165,8 +173,11 @@ def divisible_fef(
     iterations = 0
     history = [tuple(tau)]
     # LP2 at the initial tau has only <= rows with right-hand sides >= 0,
-    # so x = 0 satisfies it; every later tau is accepted only once the
-    # selection step's feasible() has returned a point of it.
+    # so its all-slack basis is feasible; every later tau is accepted only
+    # once the selection step has found a point of it.
+    accepted = start(*build_lp(aug, tau, LE))
+    if accepted is None:
+        raise InternalError("the relaxed program at tau = (1, ..., 1) is infeasible")
     while True:
         lp, cols = build_lp(aug, tau, EQ)
         result = feasible(lp)
@@ -182,7 +193,9 @@ def divisible_fef(
             if tau[k] == m + 1:
                 continue
             tau[k] += 1
-            if feasible(build_lp(aug, tau, LE)[0]).feasible:
+            trial = resume(accepted, *build_lp(aug, tau, LE))
+            if trial is not None:
+                accepted = trial
                 break
             tau[k] -= 1
         else:

@@ -9,9 +9,16 @@ The simplex runs on integers, and each tableau row keeps its own scale:
 the coefficient of its basic variable is its denominator.  A pivot
 combines only the rows that hold the entering column and divides each of
 them, together with its basic value, by their gcd.
-fractions.Fraction is used only outside the simplex loop: in presolve,
-for the returned point, and in the self-check that the point satisfies
-every constraint exactly.
+fractions.Fraction is used only outside the simplex loop: in presolve
+where a singleton row divides, for the values a row added to a warm
+start is measured at, and for the returned point.  The exact self-check
+of every returned point compares integers.
+
+feasible() decides a program from scratch, after presolve.  start() and
+resume() decide a chain of keyed programs, each growing the last one:
+resume() copies the last final tableau, applies the changes (new
+columns, <= rows turned into = rows, new rows) and runs the same phase 1
+from there.  A warm start is never presolved.
 """
 
 from __future__ import annotations
@@ -19,7 +26,8 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from fractions import Fraction
 from math import gcd, lcm
-from typing import Optional
+from operator import mul
+from typing import Hashable, Optional, Sequence
 
 from .instance import InternalError
 
@@ -27,6 +35,9 @@ LE = "<="
 EQ = "="
 
 _RELATIONS = (LE, EQ)
+# Added to the rank of a slack or artificial: they come after every variable.
+_AFTER = 1 << 62
+_EXACT = frozenset((int, Fraction))
 
 
 class LPStructureError(ValueError):
@@ -38,6 +49,7 @@ class Constraint:
     coeffs: dict[int, int | Fraction]
     relation: str
     rhs: Fraction
+    key: Optional[Hashable] = None
 
 
 @dataclass
@@ -53,21 +65,34 @@ class LinearProgram:
         if not self.upper:
             self.upper = [Fraction(1)] * self.var_count
 
-    def add(self, coeffs: dict[int, int | Fraction], relation: str, rhs) -> None:
-        """Append a row; nonzero coefficients are stored as given."""
-        _check_exact([*coeffs.values(), rhs], f"constraint {len(self.constraints)}")
-        nonzero = {j: c for j, c in coeffs.items() if c != 0}
-        self.constraints.append(Constraint(nonzero, relation, Fraction(rhs)))
+    def add(
+        self,
+        coeffs: dict[int, int | Fraction],
+        relation: str,
+        rhs,
+        key: Optional[Hashable] = None,
+    ) -> None:
+        """Append a row; nonzero coefficients are stored as given.
+
+        key names the row across a chain of programs (see resume)."""
+        values = coeffs.values()
+        _check_exact((*values, rhs), "constraint", len(self.constraints))
+        nonzero = {j: c for j, c in coeffs.items() if c} if 0 in values else dict(coeffs)
+        if type(rhs) is not Fraction:
+            rhs = Fraction(rhs)
+        self.constraints.append(Constraint(nonzero, relation, rhs, key))
 
     def pretty(self, names: Optional[list[str]] = None) -> str:
-        """Human-readable constraint listing (CLI debug dump)."""
+        """Human-readable constraint listing (CLI debug dump); a keyed row
+        is prefixed with its key, e.g. [supply 3]."""
         name = (lambda j: names[j]) if names else (lambda j: f"x{j}")
         lines = []
         for c in self.constraints:
             terms = " + ".join(
                 f"{c.coeffs[j]}*{name(j)}" for j in sorted(c.coeffs)
             ) or "0"
-            lines.append(f"{terms} {c.relation} {c.rhs}")
+            label = "" if c.key is None else f"[{' '.join(map(str, c.key))}] "
+            lines.append(f"{label}{terms} {c.relation} {c.rhs}")
         for j in range(self.var_count):
             lines.append(f"{self.lower[j]} <= {name(j)} <= {self.upper[j]}")
         return "\n".join(lines)
@@ -85,40 +110,55 @@ class FeasibilityResult:
 INFEASIBLE = FeasibilityResult(None)
 
 
-def _check_exact(values: list, what: str) -> None:
+def _check_exact(values, what: str, index: Optional[int] = None) -> None:
     # A float would be coerced to its binary expansion, and bool is an int.
-    if not {int, Fraction}.issuperset(map(type, values)):
-        bad = next(v for v in values if type(v) not in (int, Fraction))
-        raise LPStructureError(f"{what}: {bad!r} is not an int or Fraction")
+    if not _EXACT.issuperset(map(type, values)):
+        bad = next(v for v in values if type(v) not in _EXACT)
+        where = what if index is None else f"{what} {index}"
+        raise LPStructureError(f"{where}: {bad!r} is not an int or Fraction")
 
 
 def _validate(lp: LinearProgram) -> None:
-    if len(lp.lower) != lp.var_count or len(lp.upper) != lp.var_count:
+    n = lp.var_count
+    if len(lp.lower) != n or len(lp.upper) != n:
         raise LPStructureError("bound vectors must match var_count")
-    _check_exact([*lp.lower, *lp.upper], "bounds")
-    for j in range(lp.var_count):
-        if lp.lower[j] > lp.upper[j]:
+    _check_exact((*lp.lower, *lp.upper), "bounds")
+    for j, (lo, up) in enumerate(zip(lp.lower, lp.upper)):
+        if lo.numerator * up.denominator > up.numerator * lo.denominator:
             raise LPStructureError(f"variable {j}: lower bound exceeds upper")
     for idx, c in enumerate(lp.constraints):
         if c.relation not in _RELATIONS:
             raise LPStructureError(f"constraint {idx}: bad relation {c.relation!r}")
-        _check_exact([*c.coeffs.values(), c.rhs], f"constraint {idx}")
-        for j in c.coeffs:
-            if j < 0 or j >= lp.var_count:
-                raise LPStructureError(f"constraint {idx}: variable {j} out of range")
+        _check_exact((*c.coeffs.values(), c.rhs), "constraint", idx)
+        if c.coeffs and (min(c.coeffs) < 0 or max(c.coeffs) >= n):
+            j = next(j for j in c.coeffs if j < 0 or j >= n)
+            raise LPStructureError(f"constraint {idx}: variable {j} out of range")
 
 
 def _satisfies(lp: LinearProgram, point: tuple[Fraction, ...]) -> bool:
+    # In integers over the point's common denominator den: point[j] is
+    # num[j] / den, and each bound and right-hand side is cross-multiplied.
+    den = lcm(*(v.denominator for v in point))
+    num = [v.numerator * (den // v.denominator) for v in point]
     for j in range(lp.var_count):
-        if not (lp.lower[j] <= point[j] <= lp.upper[j]):
+        lo, up = lp.lower[j], lp.upper[j]
+        if num[j] * lo.denominator < lo.numerator * den:
+            return False
+        if num[j] * up.denominator > up.numerator * den:
             return False
     for c in lp.constraints:
-        lhs = sum((coef * point[j] for j, coef in c.coeffs.items()), Fraction(0))
-        if c.relation == EQ and lhs != c.rhs:
+        lhs = sum(coef * num[j] for j, coef in c.coeffs.items()) * c.rhs.denominator
+        rhs = c.rhs.numerator * den
+        if c.relation == EQ and lhs != rhs:
             return False
-        if c.relation == LE and lhs > c.rhs:
+        if c.relation == LE and lhs > rhs:
             return False
     return True
+
+
+def _exact(v):
+    """v as an int when it is integral."""
+    return v.numerator if v.denominator == 1 else v
 
 
 def feasible(lp: LinearProgram) -> FeasibilityResult:
@@ -129,20 +169,51 @@ def feasible(lp: LinearProgram) -> FeasibilityResult:
     LPStructureError instead of reporting Infeasible.
     """
     _validate(lp)
-    lo = list(lp.lower)
-    up = list(lp.upper)
-    rows = [(dict(c.coeffs), c.relation, c.rhs) for c in lp.constraints]
+    lo = [_exact(v) for v in lp.lower]
+    up = [_exact(v) for v in lp.upper]
+    rows = [
+        ({j: c for j, c in c.coeffs.items() if c}, c.relation, _exact(c.rhs))
+        for c in lp.constraints
+    ]
 
     presolved = _presolve(rows, lo, up)
     if presolved is None:
         return INFEASIBLE
-    point = _simplex(presolved, lo, up)
-    if point is None:
+    tableau = _Tableau.cold(presolved, lo, up)
+    if not tableau.phase1():
         return INFEASIBLE
+    point = tableau.point(range(lp.var_count))
     # Exact soundness self-check; a failure here is an internal bug.
     if not _satisfies(lp, point):
         raise InternalError("simplex returned an infeasible point")
     return FeasibilityResult(point)
+
+
+def start(lp: LinearProgram, cols: Sequence[Hashable]) -> Optional[_Tableau]:
+    """Decide a keyed program from the empty tableau, without presolve.
+
+    cols[j] keys variable j, and every row needs a distinct key.  Returns
+    the final tableau, for resume(), when the program is feasible and None
+    otherwise.  A program with only <= rows, right-hand sides >= 0 and
+    lower bounds 0 is decided on its all-slack basis, with no pivot.
+    """
+    _validate(lp)
+    return _Tableau()._decide(lp, cols)
+
+
+def resume(
+    parent: _Tableau, lp: LinearProgram, cols: Sequence[Hashable]
+) -> Optional[_Tableau]:
+    """Decide a keyed program that grows the one parent was decided on.
+
+    Every row and column of the parent's program must be in lp under the
+    same key, with the same coefficients and right-hand side.  lp may add
+    columns (at lower bound 0) and rows, and turn <= rows into = rows.
+    The parent is not changed.  Returns lp's final tableau when lp is
+    feasible, and None otherwise.
+    """
+    _validate(lp)
+    return parent._copy()._decide(lp, cols)
 
 
 def _presolve(rows, lo, up):
@@ -168,13 +239,12 @@ def _presolve(rows, lo, up):
                 continue
             if len(coeffs) == 1:
                 (j, c), = coeffs.items()
+                b = Fraction(rhs, c)
                 if rel == EQ:
-                    v = rhs / c
-                    if v < lo[j] or v > up[j]:
+                    if b < lo[j] or b > up[j]:
                         return None
-                    lo[j] = up[j] = v
+                    lo[j] = up[j] = b
                 else:
-                    b = rhs / c
                     if c > 0:
                         if b < up[j]:
                             up[j] = b
@@ -191,142 +261,334 @@ def _presolve(rows, lo, up):
             return rows
 
 
-def _simplex(rows, lo, up):
-    """Phase-1 bounded-variable simplex with Bland's rule, on integers.
+class _Tableau:
+    """Phase-1 bounded-variable simplex state, on integers.
 
-    rows: list of (coeffs, relation, rhs) with >= 2 free variables each.
-    Returns the point over all len(lo) variables, or None if infeasible.
+    Each row i is a dict {column: int} at its own scale: the coefficient
+    d_i = tab[i][basis[i]] > 0 of its basic column is its denominator, and
+    beta[i] is d_i * q times the value of basis[i], where q clears the
+    denominators of the bounds and scaled right-hand sides.  qlo/qup hold
+    q times each column's bounds (qup None: unbounded); a nonbasic column
+    sits at its upper bound iff at_upper.  Bland's rule orders columns by
+    rank: the caller's variables first, then slacks and artificials, each
+    in the order they were added.
+
+    Columns are the caller's variables, one slack per <= row and one
+    artificial per row that needs it.  A row enters as sign * s * m times
+    the given row, s clearing its coefficients' denominators, with a new
+    slack or artificial basic at coefficient m > 0.  In the system of rows
+    as they entered, the row's slack column (sign * m) or, in an = row, its
+    artificial column (m) is a multiple of a unit vector, so the tableau's
+    entries in it are a column of the inverse basis, scaled.  unit[i]
+    holds that column of row i and the factor that turns a new column's
+    coefficient in row i into a multiplier of it (see _enter).  artificial
+    maps each artificial to the scale s that weights it in the phase-1
+    cost; rows and cols map the keys of a keyed program to rows and
+    columns.
     """
-    n = len(lo)
-    # Integer tableau rows, each at its own scale.  Columns 0..n-1 are the
-    # caller's variables; after them, row by row, one slack per LE row and one
-    # artificial per row that needs it.  Row i starts scaled by scales[i], the
-    # lcm of its coefficient denominators, and its slack and artificial by the
-    # same factor, so they start at coefficient 1.  The coefficient
-    # d_i = tab[i][basis[i]] > 0 of the basic variable is the row's
-    # denominator: beta[i] is d_i * q times the value of basis[i], where q
-    # clears the denominators of the bounds and scaled right-hand sides;
-    # qlo/qup hold q times each column's bounds (None: unbounded).
-    scales = [lcm(*(c.denominator for c in coeffs.values())) for coeffs, _, _ in rows]
-    used = {j for coeffs, _, _ in rows for j in coeffs}
-    q = lcm(
-        *(lo[j].denominator for j in used),
-        *(up[j].denominator for j in used),
-        *(
-            rhs.denominator // gcd(s, rhs.denominator)
-            for (_, _, rhs), s in zip(rows, scales)
-        ),
-    )
-    qlo: list[int] = [0] * n
-    qup: list[Optional[int]] = [None] * n
-    for j in used:
-        qlo[j] = lo[j].numerator * (q // lo[j].denominator)
-        qup[j] = up[j].numerator * (q // up[j].denominator)
-    tab: list[dict[int, int]] = []
-    basis: list[int] = []
-    beta: list[int] = []
-    is_artificial: set[int] = set()
 
-    for (coeffs, rel, rhs), s in zip(rows, scales):
-        row = {j: c.numerator * (s // c.denominator) for j, c in coeffs.items()}
-        residual = rhs.numerator * (s * q // rhs.denominator) - sum(
-            c * qlo[j] for j, c in row.items()
+    def __init__(self, q: int = 1) -> None:
+        self.q = q
+        self.qlo, self.qup, self.at_upper, self.rank = [], [], [], []  # per column
+        self.tab, self.basis, self.beta, self.unit, self.slack = [], [], [], [], []
+        self.artificial, self.rows, self.cols = {}, {}, {}
+
+    @classmethod
+    def cold(cls, rows, lo, up) -> _Tableau:
+        """The starting tableau of presolved rows over the columns lo/up."""
+        scales = [lcm(*(c.denominator for c in cs.values())) for cs, _, _ in rows]
+        q = lcm(
+            *(v.denominator for v in (*lo, *up)),
+            *(
+                b.denominator // gcd(s, b.denominator)
+                for (_, _, b), s in zip(rows, scales)
+            ),
         )
+        t = cls(q)
+        t.qlo = [v.numerator * (q // v.denominator) for v in lo]
+        t.qup = [v.numerator * (q // v.denominator) for v in up]
+        t.at_upper = [False] * len(lo)
+        t.rank = list(range(len(lo)))
+        for (coeffs, rel, rhs), s in zip(rows, scales):
+            row = {j: c.numerator * (s // c.denominator) for j, c in coeffs.items()}
+            residual = rhs.numerator * (s * q // rhs.denominator) - sum(
+                c * t.qlo[j] for j, c in row.items()
+            )
+            t._add_row(row, s, rel, residual, {})
+        return t
+
+    def _copy(self) -> _Tableau:
+        t = _Tableau(self.q)
+        t.qlo, t.qup, t.at_upper = list(self.qlo), list(self.qup), list(self.at_upper)
+        t.rank = list(self.rank)
+        t.tab = [dict(row) for row in self.tab]
+        t.basis, t.beta = list(self.basis), list(self.beta)
+        t.unit, t.slack = list(self.unit), list(self.slack)
+        t.artificial, t.rows = dict(self.artificial), dict(self.rows)
+        t.cols = dict(self.cols)
+        return t
+
+    def _add_column(self, qlo=0, qup=None, variable=False) -> int:
+        j = len(self.qlo)
+        self.qlo.append(qlo)
+        self.qup.append(qup)
+        self.at_upper.append(False)
+        self.rank.append(j if variable else j + _AFTER)
+        return j
+
+    def _clear(self, den: int) -> None:
+        """Grow q to a multiple of den."""
+        f = den // gcd(self.q, den)
+        if f > 1:
+            self.q *= f
+            self.beta[:] = [b * f for b in self.beta]
+            self.qlo[:] = [v * f for v in self.qlo]
+            self.qup[:] = [None if v is None else v * f for v in self.qup]
+
+    def _add_row(self, row, s, rel, residual, row_of) -> None:
+        """Append row, s times a given row, with a new basic column.
+
+        residual is q * s times the right-hand side minus the row at the
+        current point: an int, or a Fraction when basic columns are in the
+        row.  They are eliminated with their rows; row_of maps each basic
+        column to its row and gains the new one.
+        """
+        m = residual.denominator
+        if m != 1:
+            row = {j: m * c for j, c in row.items()}
+        residual = residual.numerator
+        sign = -1 if residual < 0 else 1
+        slack = None
         if rel == LE:
-            row[len(qlo)] = 1
-            qlo.append(0)
-            qup.append(None)
-        if rel == EQ or residual < 0:
-            if residual < 0:
-                row = {k: -v for k, v in row.items()}
-            row[len(qlo)] = 1
-            is_artificial.add(len(qlo))
-            qlo.append(0)
-            qup.append(None)
-        basis.append(len(qlo) - 1)
-        beta.append(abs(residual))
-        tab.append(row)
+            slack = first = self._add_column()
+            row[slack] = m
+        if rel == EQ or sign < 0:
+            if sign < 0:
+                row = {j: -v for j, v in row.items()}
+            first = self._add_column()
+            row[first] = m
+            self.artificial[first] = s
+        beta = abs(residual)
+        for j in [j for j in row if j in row_of]:
+            prow = self.tab[row_of[j]]
+            beta = _combine(row, row[j], prow[j], prow, prow[j] * beta)
+        row_of[first] = len(self.tab)
+        self.tab.append(row)
+        self.basis.append(first)
+        self.beta.append(beta)
+        self.unit.append((slack, s) if slack is not None else (first, sign * s))
+        self.slack.append(slack)
 
-    # Phase-1 cost row, scaled to integers: minus the sum of the artificial
-    # rows, row i weighted by weight // scales[i], so each column keeps the
-    # sign it has in the unscaled program.  It omits the artificials' own
-    # unit cost, so it is the reduced-cost row only on the non-artificial
-    # columns, the only ones that may enter.  _pivot keeps it current apart
-    # from tab, at a positive scale of its own and with no beta.
-    art_rows = [i for i, bvar in enumerate(basis) if bvar in is_artificial]
-    weight = lcm(*(scales[i] for i in art_rows))
-    cost: dict[int, int] = {}
-    for i in art_rows:
-        w = weight // scales[i]
-        for j, c in tab[i].items():
-            cost[j] = cost.get(j, 0) - w * c
-    at_upper = [False] * len(qlo)
+    def _decide(self, lp: LinearProgram, cols) -> Optional[_Tableau]:
+        """Extend this tableau to lp, run phase 1 and check the point."""
+        self._extend(lp, cols)
+        if not self.phase1():
+            return None
+        if not _satisfies(lp, self.point([self.cols[key] for key in cols])):
+            raise InternalError("simplex returned an infeasible point")
+        # An artificial out of the basis never enters again; unless it is a
+        # unit column, it is dropped.
+        dead = self.artificial.keys() - self.basis - {u for u, _ in self.unit}
+        if dead:
+            for row in self.tab:
+                for a in dead.intersection(row):
+                    del row[a]
+            for a in dead:
+                del self.artificial[a]
+        return self
 
-    while True:
-        # An artificial never enters: once it has left, it stays at 0.
-        eligible = [
-            j
-            for j, d in cost.items()
-            if j not in is_artificial and (d > 0 if at_upper[j] else d < 0)
-        ]
-        if not eligible:
-            if any(b for b, bv in zip(beta, basis) if bv in is_artificial):
-                return None
-            point = [up[j] if at_upper[j] else lo[j] for j in range(n)]
-            for row, bv, b in zip(tab, basis, beta):
-                if bv < n:
-                    point[bv] = Fraction(b, row[bv] * q)
-            return tuple(point)
-        entering = min(eligible)
-        direction = -1 if at_upper[entering] else 1
-        column = [(i, c) for i, row in enumerate(tab) if (c := row.get(entering))]
-
-        # Ratio test: max step t >= 0 before some bound is hit.  A step is
-        # t = num / (q * k), and steps are compared by cross-multiplying.
-        best_num = None if qup[entering] is None else qup[entering] - qlo[entering]
-        best_k = 1
-        leaving_row = -1
-        leaving_to_upper = False
-        for i, c in column:
-            bvar = basis[i]
-            d = tab[i][bvar]
-            if direction * c > 0:  # beta[i] falls as the entering one moves
-                num = beta[i] - d * qlo[bvar]
-                hits_upper = False
-            elif qup[bvar] is not None:
-                num = d * qup[bvar] - beta[i]
-                hits_upper = True
-            else:
+    def _extend(self, lp: LinearProgram, cols) -> None:
+        """Apply lp's new columns, tightened rows and new rows, in order."""
+        if len(cols) != lp.var_count or len(set(cols)) != len(cols):
+            raise LPStructureError("a warm start needs one distinct key per variable")
+        keys = {c.key for c in lp.constraints}
+        if len(keys) != len(lp.constraints) or None in keys:
+            raise LPStructureError("a warm start needs a distinct key on every row")
+        colmap, fresh = [], {}  # fresh: variable -> its new column
+        for j, key in enumerate(cols):
+            col = self.cols.get(key)
+            if col is None:
+                lo, up = lp.lower[j], lp.upper[j]
+                if lo != 0:
+                    msg = f"variable {j}: a new column needs lower bound 0"
+                    raise LPStructureError(msg)
+                self._clear(up.denominator)
+                col = self._add_column(0, up.numerator * (self.q // up.denominator), True)
+                self.cols[key] = fresh[j] = col
+            colmap.append(col)
+        rows, slacks, qup = self.rows, self.slack, self.qup
+        entries: dict[int, list] = {col: [] for col in fresh.values()}
+        tightened, added = [], []
+        for c in lp.constraints:
+            i = rows.get(c.key)
+            if i is None:
+                added.append(c)
                 continue
-            k = abs(c)
-            if (
-                best_num is None
-                or num * best_k < best_num * k
-                or (
-                    num * best_k == best_num * k
-                    and leaving_row >= 0
-                    and bvar < basis[leaving_row]
-                )
-            ):
-                best_num, best_k = num, k
-                leaving_row = i
-                leaving_to_upper = hits_upper
-        if best_num is None:
-            raise InternalError("phase-1 objective unbounded below")
+            if not fresh.keys().isdisjoint(c.coeffs):
+                unit, mult = self.unit[i]
+                for j in fresh.keys() & c.coeffs.keys():
+                    entries[fresh[j]].append((unit, mult * c.coeffs[j]))
+            slack = slacks[i]
+            if c.relation == EQ:
+                if slack is not None and qup[slack] is None:
+                    tightened.append(slack)
+            elif slack is None or qup[slack] is not None:
+                raise LPStructureError(f"row {c.key}: warm starts cannot relax = to <=")
+        if len(lp.constraints) - len(added) != len(rows):
+            raise LPStructureError("a warm start cannot drop a row")
 
-        # The step moves the entering variable by t = best_num / (q * best_k).
-        step = direction * best_num
-        if leaving_row == -1:  # bound flip: the entering variable crosses its box
+        for col, terms in entries.items():
+            self._enter(col, terms)
+        for slack in tightened:
+            self._tighten(slack)
+        row_of = {bv: i for i, bv in enumerate(self.basis)}
+        for c in added:
+            s = lcm(*(a.denominator for a in c.coeffs.values()))
+            self._clear(c.rhs.denominator // gcd(s, c.rhs.denominator))
+            row = {
+                colmap[j]: a.numerator * (s // a.denominator)
+                for j, a in c.coeffs.items()
+                if a
+            }
+            # q times the current value of each column in the row.
+            at = [
+                (qup if self.at_upper[j] else self.qlo)[j]
+                if (i := row_of.get(j)) is None
+                else Fraction(self.beta[i], self.tab[i][j])
+                for j in row
+            ]
+            residual = c.rhs.numerator * (s * self.q // c.rhs.denominator) - sum(
+                map(mul, row.values(), at)
+            )
+            rows[c.key] = len(self.tab)
+            self._add_row(row, s, c.relation, residual, row_of)
+
+    def _enter(self, col: int, terms) -> None:
+        """Give the new column col, nonbasic at 0, its entries in the rows.
+
+        terms holds a (unit column, multiplier) pair per row that holds
+        col, the multiplier being that row's unit factor times col's
+        coefficient; row i's entry is the sum of tab[i][unit] * multiplier.
+        """
+        for i, row in enumerate(self.tab):
+            e = 0
+            for unit, mult in terms:
+                v = row.get(unit)
+                if v:
+                    e += v * mult
+            if e:
+                if e.denominator != 1:  # rescale the row to keep it integral
+                    for j in row:
+                        row[j] *= e.denominator
+                    self.beta[i] *= e.denominator
+                row[col] = e.numerator
+
+    def _tighten(self, slack: int) -> None:
+        """Fix slack at 0, turning its row's <= into =.  If it is basic
+        above 0, an artificial with the same column takes its place."""
+        self.qup[slack] = 0
+        if slack in self.basis:
+            i = self.basis.index(slack)
+            if self.beta[i] > 0:
+                art = self.basis[i] = self._add_column()
+                self.artificial[art] = 1
+                self.tab[i][art] = self.tab[i][slack]
+
+    def point(self, cols) -> tuple[Fraction, ...]:
+        """The current values of the columns cols."""
+        where = {bv: i for i, bv in enumerate(self.basis)}
+        q = self.q
+        return tuple(
+            Fraction((self.qup if self.at_upper[j] else self.qlo)[j], q)
+            if (i := where.get(j)) is None
+            else Fraction(self.beta[i], self.tab[i][j] * q)
+            for j in cols
+        )
+
+    def phase1(self) -> bool:
+        """Bland's rule from the current basis until no column may enter;
+        True iff every artificial is then at 0."""
+        tab, basis, beta = self.tab, self.basis, self.beta
+        qlo, qup, at_upper, rank = self.qlo, self.qup, self.at_upper, self.rank
+        artificial = self.artificial
+        # Phase-1 cost row, scaled to integers: minus the sum of the rows of
+        # the basic artificials, each over its scale and its denominator, so
+        # each column keeps the sign it has in the unscaled program.  It
+        # omits the artificials' own unit cost, so it is the reduced-cost row
+        # only on the non-artificial columns, the only ones that may enter.
+        # _pivot keeps it current apart from tab, at a positive scale of its
+        # own and with no beta.
+        art_rows = [
+            (i, artificial[bv] * tab[i][bv])
+            for i, bv in enumerate(basis)
+            if bv in artificial
+        ]
+        weight = lcm(*(w for _, w in art_rows))
+        cost: dict[int, int] = {}
+        for i, w in art_rows:
+            w = weight // w
+            for j, c in tab[i].items():
+                cost[j] = cost.get(j, 0) - w * c
+
+        while True:
+            # An artificial never enters: once it has left, it stays at 0.
+            eligible = [
+                j
+                for j, d in cost.items()
+                if j not in artificial and (d > 0 if at_upper[j] else d < 0)
+            ]
+            if not eligible:
+                return not any(b for b, bv in zip(beta, basis) if bv in artificial)
+            entering = min(eligible, key=rank.__getitem__)
+            direction = -1 if at_upper[entering] else 1
+            column = [(i, c) for i, row in enumerate(tab) if (c := row.get(entering))]
+
+            # Ratio test: max step t >= 0 before some bound is hit.  A step is
+            # t = num / (q * k), and steps are compared by cross-multiplying.
+            best_num = None if qup[entering] is None else qup[entering] - qlo[entering]
+            best_k = 1
+            leaving_row = -1
+            leaving_to_upper = False
             for i, c in column:
-                beta[i] -= c * step
-            at_upper[entering] = not at_upper[entering]
-            continue
-        # It becomes basic in the pivot row, at coefficient |p| = best_k.
-        start = qup[entering] if at_upper[entering] else qlo[entering]
-        _pivot(tab, leaving_row, entering, beta, step, column, cost)
-        beta[leaving_row] = best_k * start + step  # type: ignore[operator]
-        at_upper[basis[leaving_row]] = leaving_to_upper
-        basis[leaving_row] = entering
+                bvar = basis[i]
+                d = tab[i][bvar]
+                if direction * c > 0:  # beta[i] falls as the entering one moves
+                    num = beta[i] - d * qlo[bvar]
+                    hits_upper = False
+                elif qup[bvar] is not None:
+                    num = d * qup[bvar] - beta[i]
+                    hits_upper = True
+                else:
+                    continue
+                k = abs(c)
+                if (
+                    best_num is None
+                    or num * best_k < best_num * k
+                    or (
+                        num * best_k == best_num * k
+                        and leaving_row >= 0
+                        and rank[bvar] < rank[basis[leaving_row]]
+                    )
+                ):
+                    best_num, best_k = num, k
+                    leaving_row = i
+                    leaving_to_upper = hits_upper
+            if best_num is None:
+                raise InternalError("phase-1 objective unbounded below")
+
+            # The step moves the entering variable by t = best_num / (q * best_k).
+            step = direction * best_num
+            if leaving_row == -1:  # bound flip: the entering variable crosses its box
+                for i, c in column:
+                    beta[i] -= c * step
+                at_upper[entering] = not at_upper[entering]
+                continue
+            # It becomes basic in the pivot row, at coefficient |p| = best_k.
+            origin = qup[entering] if at_upper[entering] else qlo[entering]
+            _pivot(tab, leaving_row, entering, beta, step, column, cost)
+            beta[leaving_row] = best_k * origin + step  # type: ignore[operator]
+            at_upper[basis[leaving_row]] = leaving_to_upper
+            basis[leaving_row] = entering
 
 
 def _pivot(tab, r, col, beta, step, column, cost):

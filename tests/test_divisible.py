@@ -141,8 +141,10 @@ class TestSolver:
     def test_saturated_agents_are_skipped(self, monkeypatch):
         # A threshold of m+2 makes the fictional good internal, which no
         # budget can afford, so the loop never builds such a program.
+        # Decided programs: LP1 through feasible, trials through resume.
         taus, calls = [], []
-        real_build, real_feasible = divisible.build_lp, divisible.feasible
+        real_build = divisible.build_lp
+        real_feasible, real_resume = divisible.feasible, divisible.resume
 
         def recording_build(instance, tau, budget_relation):
             taus.append(tuple(tau))
@@ -152,8 +154,13 @@ class TestSolver:
             calls.append(lp)
             return real_feasible(lp)
 
+        def counting_resume(parent, lp, cols):
+            calls.append(lp)
+            return real_resume(parent, lp, cols)
+
         monkeypatch.setattr(divisible, "build_lp", recording_build)
         monkeypatch.setattr(divisible, "feasible", counting_feasible)
+        monkeypatch.setattr(divisible, "resume", counting_resume)
         inst = gen_random(7, 3, 6)
         divisible_fef(inst)
         assert all(t <= inst.m + 1 for tau in taus for t in tau)
@@ -192,6 +199,28 @@ class TestSolver:
         result = divisible_fef(inst)
         assert result.iterations <= inst.n * (inst.m + 1)
         assert verify_fef(inst, result.allocation)
+
+
+class TestSelectionReplay:
+    """Each selection step, replayed with cold solves of the public API:
+    the accepted trial LP2(tau + e_k) is feasible, and the trial of every
+    earlier agent not yet at m+1 is infeasible."""
+
+    @pytest.mark.parametrize(
+        "seed, n, m", [*((s, 3, 5) for s in range(1, 21)), (1, 5, 12), (3, 5, 12)]
+    )
+    def test_each_step_takes_the_first_feasible_trial(self, seed, n, m):
+        inst = gen_random(seed, n, m)
+        aug = augment(inst)
+        history = divisible_fef(inst).tau_history
+        for tau, after in zip(history, history[1:]):
+            k = next(a for a in range(n) if after[a] != tau[a])
+            assert after == tau[:k] + (tau[k] + 1,) + tau[k + 1 :]
+            assert feasible(build_lp(aug, after, LE)[0]).feasible
+            for a in range(k):
+                if tau[a] < m + 1:
+                    trial = tau[:a] + (tau[a] + 1,) + tau[a + 1 :]
+                    assert not feasible(build_lp(aug, trial, LE)[0]).feasible
 
 
 class TestDominationCheck:

@@ -19,8 +19,10 @@ from gapfair.lp import (
     LPStructureError,
     _pivot,
     feasible,
+    resume,
+    start,
 )
-from oracles import lp_feasible_brute
+from oracles import _point_ok, lp_feasible_brute
 
 
 def lp(var_count, rows, lower=None, upper=None):
@@ -80,6 +82,13 @@ class TestHandCases:
         assert result.feasible
         x = result.assignment
         assert x[0] + x[1] == 7 and x[0] - x[1] <= -3
+
+    @pytest.mark.parametrize("rhs, answer", [(1, True), (-1, False)])
+    def test_stored_zero_coefficient_is_dropped(self, rhs, answer):
+        # Appended directly, so add() never dropped the zero.
+        prog = LinearProgram(2)
+        prog.constraints.append(Constraint({0: Fraction(0)}, LE, Fraction(rhs)))
+        assert feasible(prog).feasible is answer
 
     def test_le_with_negative_rhs(self):
         prog = lp(2, [({0: -1, 1: -1}, LE, -1)])
@@ -146,6 +155,12 @@ class TestPretty:
         text = lp(1, [({0: 2}, LE, 1)]).pretty()
         assert "2*x0 <= 1" in text
         assert "0 <= x0 <= 1" in text
+
+    def test_keyed_rows_show_their_key(self):
+        prog = lp(2, [({0: 1}, LE, 1)])
+        prog.add({0: 1, 1: 1}, EQ, 1, ("supply", 3))
+        lines = prog.pretty().splitlines()
+        assert lines[:2] == ["1*x0 <= 1", "[supply 3] 1*x0 + 1*x1 = 1"]
 
 
 coeff = st.integers(-3, 3)
@@ -298,3 +313,133 @@ class TestIntegerPivot:
         monkeypatch.setattr(lp_module, "_pivot", measuring_pivot)
         divisible_fef(gen_random(7, 5, 12))
         assert 0 < widest <= 36
+
+
+HALF, THIRD = Fraction(1, 2), Fraction(1, 3)
+
+
+def keyed(var_count, rows, upper=None):
+    """A program whose rows are keyed ("r", i) in order, and its column keys."""
+    prog = lp(var_count, [], upper=upper)
+    for i, (coeffs, rel, rhs) in enumerate(rows):
+        prog.add(coeffs, rel, rhs, ("r", i))
+    return prog, [("x", j) for j in range(var_count)]
+
+
+class TestWarmStart:
+    def test_all_slack_start_makes_no_pivot(self, monkeypatch):
+        pivots = []
+        monkeypatch.setattr(lp_module, "_pivot", lambda *args: pivots.append(args))
+        prog, cols = keyed(2, [({0: 1, 1: 2}, LE, 3), ({1: 1}, LE, 0)])
+        assert start(prog, cols) is not None
+        assert pivots == []
+
+    def test_resume_leaves_the_parent_alone(self):
+        prog, cols = keyed(2, [({0: 1, 1: 1}, LE, 1)])
+        parent = start(prog, cols)
+        tab = [dict(row) for row in parent.tab]
+        tight, _ = keyed(2, [({0: 1, 1: 1}, EQ, 1), ({0: -1}, LE, Fraction(-1, 2))])
+        assert resume(parent, tight, cols) is not None
+        assert parent.tab == tab
+        assert resume(parent, tight, cols) is not None
+
+    @pytest.mark.parametrize(
+        "upper, rows, grown_rows",
+        [
+            # x2 enters both rows at a fraction, which rescales a row.
+            (
+                [2, 1, 2],
+                [({0: -THIRD, 1: -1}, LE, HALF), ({0: -HALF, 1: HALF}, EQ, HALF)],
+                [
+                    ({0: -THIRD, 1: -1, 2: 3 * HALF}, EQ, HALF),
+                    ({0: -HALF, 1: HALF, 2: HALF}, EQ, HALF),
+                ],
+            ),
+            # The new rows hold basic columns at fractional values.
+            (
+                [HALF, 2, 1],
+                [({0: -THIRD, 1: -1}, EQ, -1), ({0: HALF, 1: 2}, LE, 2)],
+                [
+                    ({0: -THIRD, 1: -1, 2: -1}, EQ, -1),
+                    ({0: HALF, 1: 2, 2: -2 * THIRD}, EQ, 2),
+                    ({0: -THIRD, 1: -2, 2: 1}, LE, 1),
+                    ({0: 3, 1: -THIRD, 2: 1}, LE, 0),
+                ],
+            ),
+        ],
+    )
+    def test_fractional_entries_keep_rows_integral(self, upper, rows, grown_rows):
+        parent = start(*keyed(2, rows, upper[:2]))
+        grown, cols = keyed(3, grown_rows, upper)
+        state = resume(parent, grown, cols)
+        assert (state is not None) == lp_feasible_brute(grown)
+        if state is not None:
+            assert _point_ok(grown, state.point([state.cols[key] for key in cols]))
+
+    def test_changes_a_resume_refuses(self):
+        parent = start(*keyed(1, [({0: 1}, LE, 1), ({0: 1}, EQ, 1)]))
+        dropped, cols = keyed(1, [({0: 1}, LE, 1)])
+        with pytest.raises(LPStructureError, match="drop a row"):
+            resume(parent, dropped, cols)
+        relaxed, _ = keyed(1, [({0: 1}, LE, 1), ({0: 1}, LE, 1)])
+        with pytest.raises(LPStructureError, match="relax"):
+            resume(parent, relaxed, cols)
+        twice, _ = keyed(2, [({0: 1}, LE, 1), ({0: 1}, EQ, 1)])
+        with pytest.raises(LPStructureError, match="distinct key per variable"):
+            resume(parent, twice, [("x", 0), ("x", 0)])
+
+    def test_rows_need_keys_and_new_columns_lower_bound_zero(self):
+        parent = start(*keyed(1, [({0: 1}, LE, 1)]))
+        unkeyed = lp(1, [({0: 1}, LE, 1)])
+        with pytest.raises(LPStructureError, match="key on every row"):
+            resume(parent, unkeyed, [("x", 0)])
+        prog, _ = keyed(2, [({0: 1, 1: 1}, LE, 1)])
+        prog.lower[1] = Fraction(1, 2)
+        with pytest.raises(LPStructureError, match="lower bound 0"):
+            resume(parent, prog, [("x", 0), ("x", 1)])
+
+
+small = st.builds(Fraction, st.integers(-3, 4), st.integers(1, 2))
+entry = st.builds(Fraction, st.integers(-2, 3), st.sampled_from([1, 1, 2, 3]))
+
+
+@st.composite
+def keyed_chains(draw):
+    """A keyed program and one that grows it the way a threshold trial
+    grows its parent: a new column x_k entering some rows, one <= row
+    turned into =, and new <= rows that may hold x_k."""
+    k = draw(st.integers(1, 3))
+    upper = [draw(st.sampled_from([1, 2, Fraction(1, 2)])) for _ in range(k + 1)]
+    rows = []
+    for _ in range(draw(st.integers(0, 3))):
+        coeffs = {j: draw(entry) for j in range(k)}
+        rows.append((coeffs, draw(st.sampled_from([LE, LE, EQ])), draw(small)))
+    base, cols = keyed(k, rows, upper[:k])
+    grown_rows = [(dict(coeffs), rel, rhs) for coeffs, rel, rhs in rows]
+    for coeffs, _, _ in grown_rows:
+        coeffs[k] = draw(entry)
+    le_rows = [i for i, (_, rel, _) in enumerate(grown_rows) if rel == LE]
+    if le_rows:
+        i = draw(st.sampled_from(le_rows))
+        grown_rows[i] = (grown_rows[i][0], EQ, grown_rows[i][2])
+    for _ in range(draw(st.integers(0, 2))):
+        coeffs = {j: draw(entry) for j in range(k + 1)}
+        grown_rows.append((coeffs, LE, draw(small)))
+    grown, grown_cols = keyed(k + 1, grown_rows, upper)
+    return (base, cols), (grown, grown_cols)
+
+
+class TestWarmStartAgainstVertexOracle:
+    @settings(max_examples=150, deadline=None)
+    @given(keyed_chains())
+    def test_resume_matches_brute_force(self, chain):
+        (base, cols), (grown, grown_cols) = chain
+        parent = start(base, cols)
+        assert (parent is not None) == lp_feasible_brute(base)
+        if parent is None:
+            return
+        state = resume(parent, grown, grown_cols)
+        assert (state is not None) == lp_feasible_brute(grown)
+        if state is not None:
+            point = state.point([state.cols[key] for key in grown_cols])
+            assert _point_ok(grown, point)

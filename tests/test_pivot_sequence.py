@@ -6,13 +6,17 @@ sequence.  The sequences were recorded when the tableau held
 fractions.Fraction entries; a change to the number representation alone
 must make the same pivots in the same order, because Bland's rule and the
 ratio test's tie-break read only the signs and order of exact values.
+
+Only cold solves, through feasible(), are pinned.  In divisible_fef those
+are the LP1 programs; its threshold trials resume from the last accepted
+tableau (lp.start/lp.resume), and their pivots are bounded by count.
 """
 
 import hashlib
 
 import pytest
 
-from gapfair import divisible_fef, lp
+from gapfair import divisible, divisible_fef, lp
 from gapfair.cli import gen_random
 from gapfair.lp import feasible
 from test_lp_outputs import PINNED, pinned_program
@@ -28,11 +32,13 @@ def _lp_output_programs():
         feasible(pinned_program(seed))
 
 
-# group: (pivot count, SHA-256 of "row,col;" per pivot)
+# group: (pivot count, SHA-256 of "row,col;" per pivot) of the cold solves.
+# "divisible" holds the LP1 programs only: 1873 of the 5030 pivots made
+# when every threshold trial was also solved cold.
 PINNED_SEQUENCES = {
     "divisible": (
-        5030,
-        "2cba1aedbf41d20ae20a570743b1d48d774eb2daf1413a44a30a580c78bdb55e",
+        1873,
+        "d233cf147bb7b5212d251dbb1fdd25cb64b966a16c212afbc8ab835b5aa5d1c1",
     ),
     "lp-outputs": (
         90,
@@ -41,17 +47,45 @@ PINNED_SEQUENCES = {
 }
 _SOLVES = {"divisible": _divisible_solves, "lp-outputs": _lp_output_programs}
 
+# The threshold trials of the "divisible" solves made 3157 pivots when each
+# was solved cold; warm starts must need at most a quarter of that.
+WARM_TRIAL_PIVOTS = 3157 // 4
 
-@pytest.mark.parametrize("group", sorted(PINNED_SEQUENCES))
-def test_pivot_sequence_unchanged(group, monkeypatch):
-    pivots = []
+
+def _record_pivots(monkeypatch, solves):
+    """Run solves; return the pivots of cold and of warm-started programs."""
+    pivots = {"cold": [], "warm": []}
+    mode = ["cold"]
     real_pivot = lp._pivot
 
     def recording_pivot(rows, r, col, *args):
-        pivots.append(f"{r},{col};")
+        pivots[mode[0]].append(f"{r},{col};")
         return real_pivot(rows, r, col, *args)
 
+    def warm(decide):
+        def decide_warm(*args):
+            mode[0] = "warm"
+            try:
+                return decide(*args)
+            finally:
+                mode[0] = "cold"
+
+        return decide_warm
+
     monkeypatch.setattr(lp, "_pivot", recording_pivot)
-    _SOLVES[group]()
+    monkeypatch.setattr(divisible, "start", warm(divisible.start))
+    monkeypatch.setattr(divisible, "resume", warm(divisible.resume))
+    solves()
+    return pivots
+
+
+@pytest.mark.parametrize("group", sorted(PINNED_SEQUENCES))
+def test_pivot_sequence_unchanged(group, monkeypatch):
+    pivots = _record_pivots(monkeypatch, _SOLVES[group])["cold"]
     digest = hashlib.sha256("".join(pivots).encode()).hexdigest()
     assert (len(pivots), digest) == PINNED_SEQUENCES[group]
+
+
+def test_warm_trials_pivot_at_most_a_quarter_as_often(monkeypatch):
+    warm = _record_pivots(monkeypatch, _divisible_solves)["warm"]
+    assert 0 < len(warm) <= WARM_TRIAL_PIVOTS
