@@ -1,5 +1,6 @@
 """LP feasibility tests: hand cases, structure errors, and agreement with
-a vertex-enumeration oracle on random small programs."""
+a vertex-enumeration oracle on random small programs, solved cold and
+warm-started from a smaller program."""
 
 from fractions import Fraction
 from math import gcd
