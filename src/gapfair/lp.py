@@ -296,25 +296,14 @@ class _Tableau:
     @classmethod
     def cold(cls, rows, lo, up) -> _Tableau:
         """The starting tableau of presolved rows over the columns lo/up."""
-        scales = [lcm(*(c.denominator for c in cs.values())) for cs, _, _ in rows]
-        q = lcm(
-            *(v.denominator for v in (*lo, *up)),
-            *(
-                b.denominator // gcd(s, b.denominator)
-                for (_, _, b), s in zip(rows, scales)
-            ),
-        )
+        q = lcm(*(v.denominator for v in (*lo, *up)))
         t = cls(q)
         t.qlo = [v.numerator * (q // v.denominator) for v in lo]
         t.qup = [v.numerator * (q // v.denominator) for v in up]
         t.at_upper = [False] * len(lo)
         t.rank = list(range(len(lo)))
-        for (coeffs, rel, rhs), s in zip(rows, scales):
-            row = {j: c.numerator * (s // c.denominator) for j, c in coeffs.items()}
-            residual = rhs.numerator * (s * q // rhs.denominator) - sum(
-                c * t.qlo[j] for j, c in row.items()
-            )
-            t._add_row(row, s, rel, residual, {})
+        for coeffs, rel, rhs in rows:
+            t._add_row(coeffs, rel, rhs, {})
         return t
 
     def _copy(self) -> _Tableau:
@@ -345,14 +334,28 @@ class _Tableau:
             self.qlo[:] = [v * f for v in self.qlo]
             self.qup[:] = [None if v is None else v * f for v in self.qup]
 
-    def _add_row(self, row, s, rel, residual, row_of) -> None:
-        """Append row, s times a given row, with a new basic column.
+    def _add_row(self, coeffs, rel, rhs, row_of) -> None:
+        """Append the row coeffs rel rhs, coeffs keyed by column, with a new
+        basic slack or artificial.
 
-        residual is q * s times the right-hand side minus the row at the
-        current point: an int, or a Fraction when basic columns are in the
-        row.  They are eliminated with their rows; row_of maps each basic
-        column to its row and gains the new one.
+        The row is expressed in the nonbasic columns: a basic column in it
+        is eliminated with its row; row_of maps each basic column to its
+        row and gains the new one.
         """
+        s = lcm(*(c.denominator for c in coeffs.values()))
+        self._clear(rhs.denominator // gcd(s, rhs.denominator))
+        row = {j: c.numerator * (s // c.denominator) for j, c in coeffs.items()}
+        # q * s times the right-hand side minus the row at the current point;
+        # a Fraction when a basic column in the row has a fractional value.
+        at = [
+            (self.qup if self.at_upper[j] else self.qlo)[j]
+            if (i := row_of.get(j)) is None
+            else Fraction(self.beta[i], self.tab[i][j])
+            for j in row
+        ]
+        residual = rhs.numerator * (s * self.q // rhs.denominator) - sum(
+            map(mul, row.values(), at)
+        )
         m = residual.denominator
         if m != 1:
             row = {j: m * c for j, c in row.items()}
@@ -443,25 +446,9 @@ class _Tableau:
             self._tighten(slack)
         row_of = {bv: i for i, bv in enumerate(self.basis)}
         for c in added:
-            s = lcm(*(a.denominator for a in c.coeffs.values()))
-            self._clear(c.rhs.denominator // gcd(s, c.rhs.denominator))
-            row = {
-                colmap[j]: a.numerator * (s // a.denominator)
-                for j, a in c.coeffs.items()
-                if a
-            }
-            # q times the current value of each column in the row.
-            at = [
-                (qup if self.at_upper[j] else self.qlo)[j]
-                if (i := row_of.get(j)) is None
-                else Fraction(self.beta[i], self.tab[i][j])
-                for j in row
-            ]
-            residual = c.rhs.numerator * (s * self.q // c.rhs.denominator) - sum(
-                map(mul, row.values(), at)
-            )
             rows[c.key] = len(self.tab)
-            self._add_row(row, s, c.relation, residual, row_of)
+            coeffs = {colmap[j]: a for j, a in c.coeffs.items() if a}
+            self._add_row(coeffs, c.relation, c.rhs, row_of)
 
     def _enter(self, col: int, terms) -> None:
         """Give the new column col, nonbasic at 0, its entries in the rows.
