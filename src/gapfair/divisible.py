@@ -22,9 +22,10 @@ from .instance import (
     InternalError,
     augment,
     density_ordering,
+    require_ints,
     strip_fictional,
 )
-from .lp import EQ, LE, LinearProgram, feasible, resume, start
+from .lp import EQ, LE, LinearProgram, feasible, resume
 
 
 @dataclass(frozen=True)
@@ -49,6 +50,7 @@ class InternalEdgeSets:
 
 def _check_tau(instance: Instance, tau) -> tuple[int, ...]:
     tau = tuple(tau)
+    require_ints(threshold=tau)
     if len(tau) != instance.n:
         raise ValueError("threshold vector must have one entry per agent")
     top = instance.m + 1  # == (base good count) + 2
@@ -119,6 +121,37 @@ def build_lp(
     return lp, cols
 
 
+def _step(instance: Instance, tau, k: int):
+    """LP2(tau) as a step from LP2(tau - e_k), in resume()'s form.
+
+    Agent k's edge good g turns internal and the next good e in its
+    ordering becomes its edge.  The new column x[k,e] enters k's budget row
+    and, if e is supported already, e's supply row; g's supply row turns
+    =; the new rows are the dominance rows on g over k's fellow holders,
+    those on e over k, and e's supply row if e was unsupported, in
+    build_lp's order.
+    """
+    orders = [density_ordering(instance, a) for a in range(instance.n)]
+    g, e = orders[k][tau[k] - 2 : tau[k]]
+    new = (k, e)
+    coeffs = {("budget", k): instance.size(k, e)}
+    rows = []
+    for a, order in enumerate(orders):
+        if a == k:
+            rows += [
+                (("dom", k, b, g), {(b, g): 1, (k, g): -1}, LE, 0)
+                for b in range(instance.n)
+                if b != k and g in orders[b][: tau[b]]
+            ]
+        elif e in order[: tau[a] - 1]:
+            rows.append((("dom", a, k, e), {new: 1, (a, e): -1}, LE, 0))
+    if any(e in order[: tau[a]] for a, order in enumerate(orders) if a != k):
+        coeffs["supply", e] = 1
+    else:
+        rows.append((("supply", e), {new: 1}, LE, 1))
+    return [(new, 0, 1, coeffs)], [("supply", g)], rows
+
+
 def check_density_domination(
     instance: Instance, allocation: FractionalAllocation, tau
 ) -> bool:
@@ -163,8 +196,9 @@ def divisible_fef(
     internal.  The loop runs at most n(m+1) iterations.
 
     LP1(tau) is solved cold: its point is the allocation.  Each trial
-    LP2(tau + e_k) only grows the last accepted LP2(tau), so it resumes
-    from that program's final tableau.
+    LP2(tau + e_k) grows the last accepted LP2(tau) by one step (_step), so
+    it resumes from that program's final tableau; an accepted trial's point
+    is checked exactly against build_lp's program.
     """
     aug = augment(instance)
     n, m = instance.n, instance.m
@@ -174,10 +208,21 @@ def divisible_fef(
     history = [tuple(tau)]
     # LP2 at the initial tau has only <= rows with right-hand sides >= 0,
     # so its all-slack basis is feasible; every later tau is accepted only
-    # once the selection step has found a point of it.
-    accepted = start(*build_lp(aug, tau, LE))
+    # once the selection step has found a point of it.  point() checks each
+    # accepted LP2's point exactly against build_lp's program.
+    lp, cols = build_lp(aug, tau, LE)
+    accepted = resume(
+        None,
+        [(key, 0, 1, {}) for key in cols],
+        (),
+        [
+            (c.key, {cols[j]: a for j, a in c.coeffs.items()}, c.relation, c.rhs)
+            for c in lp.constraints
+        ],
+    )
     if accepted is None:
         raise InternalError("the relaxed program at tau = (1, ..., 1) is infeasible")
+    accepted.point(lp, cols)
     while True:
         lp, cols = build_lp(aug, tau, EQ)
         result = feasible(lp)
@@ -193,8 +238,9 @@ def divisible_fef(
             if tau[k] == m + 1:
                 continue
             tau[k] += 1
-            trial = resume(accepted, *build_lp(aug, tau, LE))
+            trial = resume(accepted, *_step(aug, tau, k))
             if trial is not None:
+                trial.point(*build_lp(aug, tau, LE))
                 accepted = trial
                 break
             tau[k] -= 1

@@ -14,11 +14,12 @@ where a singleton row divides, for the values a row added to a warm
 start is measured at, and for the returned point.  The exact self-check
 of every returned point compares integers.
 
-feasible() decides a program from scratch, after presolve.  start() and
-resume() decide a chain of keyed programs, each growing the last one:
-resume() copies the last final tableau, applies the changes (new
-columns, <= rows turned into = rows, new rows) and runs the same phase 1
-from there.  A warm start is never presolved.
+resume() is the one way into the tableau: it copies the final tableau of
+a program decided before, or starts from the empty one, applies a step
+(new columns with their entries in the existing rows, <= rows turned into
+= rows, new rows) and runs phase 1 from there.  feasible() presolves a
+program and enters with every column and row new; a chain of programs,
+each growing the last, enters one step at a time and is never presolved.
 """
 
 from __future__ import annotations
@@ -27,7 +28,7 @@ from dataclasses import dataclass, field
 from fractions import Fraction
 from math import gcd, lcm
 from operator import mul
-from typing import Hashable, Optional, Sequence
+from typing import Hashable, Optional
 
 from .instance import InternalError
 
@@ -74,7 +75,7 @@ class LinearProgram:
     ) -> None:
         """Append a row; nonzero coefficients are stored as given.
 
-        key names the row across a chain of programs (see resume)."""
+        key names the row; pretty() prints it."""
         values = coeffs.values()
         _check_exact((*values, rhs), "constraint", len(self.constraints))
         nonzero = {j: c for j, c in coeffs.items() if c} if 0 in values else dict(coeffs)
@@ -91,7 +92,10 @@ class LinearProgram:
             terms = " + ".join(
                 f"{c.coeffs[j]}*{name(j)}" for j in sorted(c.coeffs)
             ) or "0"
-            label = "" if c.key is None else f"[{' '.join(map(str, c.key))}] "
+            key = c.key
+            if isinstance(key, tuple):
+                key = " ".join(map(str, key))
+            label = "" if key is None else f"[{key}] "
             lines.append(f"{label}{terms} {c.relation} {c.rhs}")
         for j in range(self.var_count):
             lines.append(f"{self.lower[j]} <= {name(j)} <= {self.upper[j]}")
@@ -179,41 +183,55 @@ def feasible(lp: LinearProgram) -> FeasibilityResult:
     presolved = _presolve(rows, lo, up)
     if presolved is None:
         return INFEASIBLE
-    tableau = _Tableau.cold(presolved, lo, up)
-    if not tableau.phase1():
+    columns = [(j, v, w, {}) for j, (v, w) in enumerate(zip(lo, up))]
+    tableau = resume(None, columns, (), [(None, *row) for row in presolved])
+    if tableau is None:
         return INFEASIBLE
-    point = tableau.point(range(lp.var_count))
-    # Exact soundness self-check; a failure here is an internal bug.
-    if not _satisfies(lp, point):
-        raise InternalError("simplex returned an infeasible point")
-    return FeasibilityResult(point)
-
-
-def start(lp: LinearProgram, cols: Sequence[Hashable]) -> Optional[_Tableau]:
-    """Decide a keyed program from the empty tableau, without presolve.
-
-    cols[j] keys variable j, and every row needs a distinct key.  Returns
-    the final tableau, for resume(), when the program is feasible and None
-    otherwise.  A program with only <= rows, right-hand sides >= 0 and
-    lower bounds 0 is decided on its all-slack basis, with no pivot.
-    """
-    _validate(lp)
-    return _Tableau()._decide(lp, cols)
+    return FeasibilityResult(tableau.point(lp, range(lp.var_count)))
 
 
 def resume(
-    parent: _Tableau, lp: LinearProgram, cols: Sequence[Hashable]
+    parent: Optional[_Tableau], columns, tighten, rows
 ) -> Optional[_Tableau]:
-    """Decide a keyed program that grows the one parent was decided on.
+    """Decide the program parent was decided on, grown by one step.
 
-    Every row and column of the parent's program must be in lp under the
-    same key, with the same coefficients and right-hand side.  lp may add
-    columns (at lower bound 0) and rows, and turn <= rows into = rows.
-    The parent is not changed.  Returns lp's final tableau when lp is
-    feasible, and None otherwise.
+    parent is a tableau that resume() returned, or None for the empty
+    program; it is not changed.  The step, applied in this order:
+    - columns: (key, lower, upper, coeffs) per new column, coeffs being
+      its {row key: coefficient} in parent's rows (lower must then be 0);
+    - tighten: keys of parent's rows that turn from <= into = (an = row
+      stays as it is);
+    - rows: (key, coeffs, relation, rhs) per new row, coeffs keyed by
+      column key.
+    Entries are ints or Fractions and are not validated.  Returns
+    the final tableau when the grown program is feasible, None otherwise.
     """
-    _validate(lp)
-    return parent._copy()._decide(lp, cols)
+    t = _Tableau() if parent is None else parent._copy()
+    for key, lo, up, coeffs in columns:
+        t._clear(lcm(lo.denominator, up.denominator))
+        q = t.q
+        qlo, qup = (v.numerator * (q // v.denominator) for v in (lo, up))
+        col = t.cols[key] = t._add_column(qlo, qup, True)
+        if coeffs:
+            t._enter(col, coeffs)
+    for key in tighten:
+        t._tighten(t.rows[key])
+    row_of = {bv: i for i, bv in enumerate(t.basis)}
+    for key, coeffs, rel, rhs in rows:
+        t.rows[key] = len(t.tab)
+        t._add_row({t.cols[c]: a for c, a in coeffs.items() if a}, rel, rhs, row_of)
+    if not t.phase1():
+        return None
+    # An artificial out of the basis never enters again; unless it is a
+    # unit column, it is dropped.
+    dead = t.artificial.keys() - t.basis - {u for u, _ in t.unit}
+    if dead:
+        for row in t.tab:
+            for a in dead.intersection(row):
+                del row[a]
+        for a in dead:
+            del t.artificial[a]
+    return t
 
 
 def _presolve(rows, lo, up):
@@ -283,7 +301,7 @@ class _Tableau:
     holds that column of row i and the factor that turns a new column's
     coefficient in row i into a multiplier of it (see _enter).  artificial
     maps each artificial to the scale s that weights it in the phase-1
-    cost; rows and cols map the keys of a keyed program to rows and
+    cost; rows and cols map the keys resume() was given to rows and
     columns.
     """
 
@@ -292,19 +310,6 @@ class _Tableau:
         self.qlo, self.qup, self.at_upper, self.rank = [], [], [], []  # per column
         self.tab, self.basis, self.beta, self.unit, self.slack = [], [], [], [], []
         self.artificial, self.rows, self.cols = {}, {}, {}
-
-    @classmethod
-    def cold(cls, rows, lo, up) -> _Tableau:
-        """The starting tableau of presolved rows over the columns lo/up."""
-        q = lcm(*(v.denominator for v in (*lo, *up)))
-        t = cls(q)
-        t.qlo = [v.numerator * (q // v.denominator) for v in lo]
-        t.qup = [v.numerator * (q // v.denominator) for v in up]
-        t.at_upper = [False] * len(lo)
-        t.rank = list(range(len(lo)))
-        for coeffs, rel, rhs in rows:
-            t._add_row(coeffs, rel, rhs, {})
-        return t
 
     def _copy(self) -> _Tableau:
         t = _Tableau(self.q)
@@ -382,81 +387,17 @@ class _Tableau:
         self.unit.append((slack, s) if slack is not None else (first, sign * s))
         self.slack.append(slack)
 
-    def _decide(self, lp: LinearProgram, cols) -> Optional[_Tableau]:
-        """Extend this tableau to lp, run phase 1 and check the point."""
-        self._extend(lp, cols)
-        if not self.phase1():
-            return None
-        if not _satisfies(lp, self.point([self.cols[key] for key in cols])):
-            raise InternalError("simplex returned an infeasible point")
-        # An artificial out of the basis never enters again; unless it is a
-        # unit column, it is dropped.
-        dead = self.artificial.keys() - self.basis - {u for u, _ in self.unit}
-        if dead:
-            for row in self.tab:
-                for a in dead.intersection(row):
-                    del row[a]
-            for a in dead:
-                del self.artificial[a]
-        return self
-
-    def _extend(self, lp: LinearProgram, cols) -> None:
-        """Apply lp's new columns, tightened rows and new rows, in order."""
-        if len(cols) != lp.var_count or len(set(cols)) != len(cols):
-            raise LPStructureError("a warm start needs one distinct key per variable")
-        keys = {c.key for c in lp.constraints}
-        if len(keys) != len(lp.constraints) or None in keys:
-            raise LPStructureError("a warm start needs a distinct key on every row")
-        colmap, fresh = [], {}  # fresh: variable -> its new column
-        for j, key in enumerate(cols):
-            col = self.cols.get(key)
-            if col is None:
-                lo, up = lp.lower[j], lp.upper[j]
-                if lo != 0:
-                    msg = f"variable {j}: a new column needs lower bound 0"
-                    raise LPStructureError(msg)
-                self._clear(up.denominator)
-                col = self._add_column(0, up.numerator * (self.q // up.denominator), True)
-                self.cols[key] = fresh[j] = col
-            colmap.append(col)
-        rows, slacks, qup = self.rows, self.slack, self.qup
-        entries: dict[int, list] = {col: [] for col in fresh.values()}
-        tightened, added = [], []
-        for c in lp.constraints:
-            i = rows.get(c.key)
-            if i is None:
-                added.append(c)
-                continue
-            if not fresh.keys().isdisjoint(c.coeffs):
-                unit, mult = self.unit[i]
-                for j in fresh.keys() & c.coeffs.keys():
-                    entries[fresh[j]].append((unit, mult * c.coeffs[j]))
-            slack = slacks[i]
-            if c.relation == EQ:
-                if slack is not None and qup[slack] is None:
-                    tightened.append(slack)
-            elif slack is None or qup[slack] is not None:
-                raise LPStructureError(f"row {c.key}: warm starts cannot relax = to <=")
-        if len(lp.constraints) - len(added) != len(rows):
-            raise LPStructureError("a warm start cannot drop a row")
-
-        for col, terms in entries.items():
-            self._enter(col, terms)
-        for slack in tightened:
-            self._tighten(slack)
-        row_of = {bv: i for i, bv in enumerate(self.basis)}
-        for c in added:
-            rows[c.key] = len(self.tab)
-            coeffs = {colmap[j]: a for j, a in c.coeffs.items() if a}
-            self._add_row(coeffs, c.relation, c.rhs, row_of)
-
-    def _enter(self, col: int, terms) -> None:
+    def _enter(self, col: int, coeffs) -> None:
         """Give the new column col, nonbasic at 0, its entries in the rows.
 
-        terms holds a (unit column, multiplier) pair per row that holds
-        col, the multiplier being that row's unit factor times col's
-        coefficient; row i's entry is the sum of tab[i][unit] * multiplier.
+        coeffs holds col's {row key: coefficient} in the rows as they
+        entered.  Each such row r contributes tab[i][unit] * f * coefficient
+        to row i's entry, with (unit, f) = unit[r].
         """
+        terms = []
+        for key, a in coeffs.items():
+            unit, f = self.unit[self.rows[key]]
+            terms.append((unit, f * a))
         for i, row in enumerate(self.tab):
             e = 0
             for unit, mult in terms:
@@ -470,27 +411,36 @@ class _Tableau:
                     self.beta[i] *= e.denominator
                 row[col] = e.numerator
 
-    def _tighten(self, slack: int) -> None:
-        """Fix slack at 0, turning its row's <= into =.  If it is basic
-        above 0, an artificial with the same column takes its place."""
+    def _tighten(self, i: int) -> None:
+        """Turn row i's <= into = by fixing its slack at 0; an = row is left
+        as it is.  If the slack is basic above 0, an artificial with the same
+        column takes its place."""
+        slack = self.slack[i]
+        if slack is None or self.qup[slack] is not None:
+            return
         self.qup[slack] = 0
         if slack in self.basis:
-            i = self.basis.index(slack)
-            if self.beta[i] > 0:
-                art = self.basis[i] = self._add_column()
+            r = self.basis.index(slack)
+            if self.beta[r] > 0:
+                art = self.basis[r] = self._add_column()
                 self.artificial[art] = 1
-                self.tab[i][art] = self.tab[i][slack]
+                self.tab[r][art] = self.tab[r][slack]
 
-    def point(self, cols) -> tuple[Fraction, ...]:
-        """The current values of the columns cols."""
+    def point(self, lp: LinearProgram, keys) -> tuple[Fraction, ...]:
+        """The current values of the columns keyed keys, once they pass an
+        exact check against lp, the program with variables keys."""
         where = {bv: i for i, bv in enumerate(self.basis)}
         q = self.q
-        return tuple(
+        point = tuple(
             Fraction((self.qup if self.at_upper[j] else self.qlo)[j], q)
             if (i := where.get(j)) is None
             else Fraction(self.beta[i], self.tab[i][j] * q)
-            for j in cols
+            for j in map(self.cols.__getitem__, keys)
         )
+        # A failure here is an internal bug.
+        if not _satisfies(lp, point):
+            raise InternalError("simplex returned an infeasible point")
+        return point
 
     def phase1(self) -> bool:
         """Bland's rule from the current basis until no column may enter;

@@ -12,6 +12,7 @@ from gapfair import (
     FractionalAllocation,
     InfeasibleAllocationError,
     Instance,
+    InternalError,
     augment,
     best_feasible_value,
     build_lp,
@@ -24,7 +25,7 @@ from gapfair import (
 from gapfair import divisible
 from gapfair.cli import gen_random
 from gapfair.lp import EQ, LE, feasible
-from oracles import best_fractional_value_brute
+from oracles import best_fractional_value_brute, grow
 
 
 def identical_pair():
@@ -61,6 +62,15 @@ class TestInternalEdge:
         for tau in ((0, 1), (1, 4), (1,)):
             with pytest.raises(ValueError):
                 internal_edge(aug, tau)
+
+    @pytest.mark.parametrize("bad", [True, 1.0, Fraction(1), "1"])
+    def test_tau_entries_must_be_ints(self, bad):
+        inst = gen_random(1, 2, 3)
+        with pytest.raises(ValueError, match="threshold"):
+            internal_edge(inst, (bad, 1))
+        allocation = FractionalAllocation(((Fraction(0),) * 3,) * 2)
+        with pytest.raises(ValueError, match="threshold"):
+            check_density_domination(inst, allocation, (1, bad))
 
 
 class TestLpConstruction:
@@ -141,30 +151,52 @@ class TestSolver:
     def test_saturated_agents_are_skipped(self, monkeypatch):
         # A threshold of m+2 makes the fictional good internal, which no
         # budget can afford, so the loop never builds such a program.
-        # Decided programs: LP1 through feasible, trials through resume.
+        # Decided programs: LP1 through feasible, trials through resume
+        # with a parent (the chain root has none).
         taus, calls = [], []
-        real_build = divisible.build_lp
+        real_build, real_step = divisible.build_lp, divisible._step
         real_feasible, real_resume = divisible.feasible, divisible.resume
 
         def recording_build(instance, tau, budget_relation):
             taus.append(tuple(tau))
             return real_build(instance, tau, budget_relation)
 
+        def recording_step(instance, tau, k):
+            taus.append(tuple(tau))
+            return real_step(instance, tau, k)
+
         def counting_feasible(lp):
             calls.append(lp)
             return real_feasible(lp)
 
-        def counting_resume(parent, lp, cols):
-            calls.append(lp)
-            return real_resume(parent, lp, cols)
+        def counting_resume(parent, *step):
+            if parent is not None:
+                calls.append(step)
+            return real_resume(parent, *step)
 
         monkeypatch.setattr(divisible, "build_lp", recording_build)
+        monkeypatch.setattr(divisible, "_step", recording_step)
         monkeypatch.setattr(divisible, "feasible", counting_feasible)
         monkeypatch.setattr(divisible, "resume", counting_resume)
         inst = gen_random(7, 3, 6)
         divisible_fef(inst)
         assert all(t <= inst.m + 1 for tau in taus for t in tau)
         assert len(calls) == 38
+
+    def test_an_accepted_trial_is_checked_against_build_lp(self, monkeypatch):
+        # LP2 programs past the root get a row no point satisfies, so the
+        # first accepted trial's point fails the exact check.
+        real_build = divisible.build_lp
+
+        def strict_build(instance, tau, budget_relation):
+            lp, cols = real_build(instance, tau, budget_relation)
+            if budget_relation == LE and any(t > 1 for t in tau):
+                lp.add({0: 1}, LE, -1)
+            return lp, cols
+
+        monkeypatch.setattr(divisible, "build_lp", strict_build)
+        with pytest.raises(InternalError, match="infeasible point"):
+            divisible_fef(gen_random(7, 3, 6))
 
     def test_density_orderings_computed_once_per_instance(self, monkeypatch):
         calls = []
@@ -221,6 +253,51 @@ class TestSelectionReplay:
                 if tau[a] < m + 1:
                     trial = tau[:a] + (tau[a] + 1,) + tau[a + 1 :]
                     assert not feasible(build_lp(aug, trial, LE)[0]).feasible
+
+
+def _keyed_rows(lp, cols):
+    """lp's rows as (key, coefficients by column key, relation, rhs)."""
+    return [
+        (c.key, {cols[j]: a for j, a in c.coeffs.items()}, c.relation, c.rhs)
+        for c in lp.constraints
+    ]
+
+
+class TestStepsGrowBuildLp:
+    """divisible_fef grows each trial program from its parent by _step,
+    not by build_lp: the step applied to build_lp(tau - e_k)'s program
+    must give build_lp(tau)'s, with the new rows in build_lp's order.
+    Checked for every trial the solver may make along its tau path."""
+
+    @pytest.mark.parametrize(
+        "seed, n, m", [*((s, 3, 5) for s in range(1, 21)), (1, 5, 12), (3, 5, 12)]
+    )
+    def test_step_gives_build_lps_program(self, seed, n, m):
+        inst = gen_random(seed, n, m)
+        aug = augment(inst)
+        for tau in divisible_fef(inst).tau_history:
+            parent, cols = build_lp(aug, tau, LE)
+            for k in range(n):
+                if tau[k] == m + 1:
+                    continue
+                after = tau[:k] + (tau[k] + 1,) + tau[k + 1 :]
+                step = divisible._step(aug, after, k)
+                grown, grown_cols = grow(parent, cols, step)
+                lp, lp_cols = build_lp(aug, after, LE)
+                rows = _keyed_rows(lp, lp_cols)
+                assert len({key for key, *_ in rows}) == len(rows)
+                # Row by row and key by key, in build_lp's order.
+                by_key = {row[0]: row for row in _keyed_rows(grown, grown_cols)}
+                assert [by_key[key] for key, *_ in rows] == rows
+                assert len(by_key) == len(rows)
+                new = {key for key, *_ in step[2]}
+                assert [key for key, *_ in step[2]] == [
+                    key for key, *_ in rows if key in new
+                ]
+                bounds = dict(zip(grown_cols, zip(grown.lower, grown.upper)))
+                assert [bounds[key] for key in lp_cols] == list(
+                    zip(lp.lower, lp.upper)
+                )
 
 
 class TestDominationCheck:

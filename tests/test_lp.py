@@ -21,9 +21,8 @@ from gapfair.lp import (
     _pivot,
     feasible,
     resume,
-    start,
 )
-from oracles import _point_ok, lp_feasible_brute
+from oracles import _point_ok, grow, lp_feasible_brute
 
 
 def lp(var_count, rows, lower=None, upper=None):
@@ -162,6 +161,13 @@ class TestPretty:
         prog.add({0: 1, 1: 1}, EQ, 1, ("supply", 3))
         lines = prog.pretty().splitlines()
         assert lines[:2] == ["1*x0 <= 1", "[supply 3] 1*x0 + 1*x1 = 1"]
+
+    def test_keys_that_are_not_tuples_print_whole(self):
+        prog = lp(1, [])
+        prog.add({0: 1}, LE, 1, key=3)
+        prog.add({0: 2}, EQ, 1, key="cap")
+        lines = prog.pretty().splitlines()
+        assert lines[:2] == ["[3] 1*x0 <= 1", "[cap] 2*x0 = 1"]
 
 
 coeff = st.integers(-3, 3)
@@ -327,22 +333,35 @@ def keyed(var_count, rows, upper=None):
     return prog, [("x", j) for j in range(var_count)]
 
 
+def from_empty(prog, cols):
+    """The step of resume() that grows the empty program into prog."""
+    return (
+        [(key, lo, up, {}) for key, lo, up in zip(cols, prog.lower, prog.upper)],
+        (),
+        [
+            (c.key, {cols[j]: a for j, a in c.coeffs.items()}, c.relation, c.rhs)
+            for c in prog.constraints
+        ],
+    )
+
+
 class TestWarmStart:
     def test_all_slack_start_makes_no_pivot(self, monkeypatch):
         pivots = []
         monkeypatch.setattr(lp_module, "_pivot", lambda *args: pivots.append(args))
         prog, cols = keyed(2, [({0: 1, 1: 2}, LE, 3), ({1: 1}, LE, 0)])
-        assert start(prog, cols) is not None
+        assert resume(None, *from_empty(prog, cols)) is not None
         assert pivots == []
 
     def test_resume_leaves_the_parent_alone(self):
         prog, cols = keyed(2, [({0: 1, 1: 1}, LE, 1)])
-        parent = start(prog, cols)
+        parent = resume(None, *from_empty(prog, cols))
         tab = [dict(row) for row in parent.tab]
-        tight, _ = keyed(2, [({0: 1, 1: 1}, EQ, 1), ({0: -1}, LE, Fraction(-1, 2))])
-        assert resume(parent, tight, cols) is not None
+        step = [], [("r", 0)], [(("r", 1), {("x", 0): -1}, LE, Fraction(-1, 2))]
+        tight, _ = grow(prog, cols, step)
+        assert resume(parent, *step).point(tight, cols) == (HALF, HALF)
         assert parent.tab == tab
-        assert resume(parent, tight, cols) is not None
+        assert resume(parent, *step) is not None
 
     @pytest.mark.parametrize(
         "upper, rows, grown_rows",
@@ -370,34 +389,17 @@ class TestWarmStart:
         ],
     )
     def test_fractional_entries_keep_rows_integral(self, upper, rows, grown_rows):
-        parent = start(*keyed(2, rows, upper[:2]))
+        parent = resume(None, *from_empty(*keyed(2, rows, upper[:2])))
         grown, cols = keyed(3, grown_rows, upper)
-        state = resume(parent, grown, cols)
+        # The step: x2's entries in the old rows, those turned =, new rows.
+        old = list(enumerate(grown_rows[: len(rows)]))
+        entries = {("r", i): c[2] for i, (c, _, _) in old if 2 in c}
+        tighten = [("r", i) for i, (_, rel, _) in old if rel == EQ]
+        added = from_empty(grown, cols)[2][len(rows) :]
+        state = resume(parent, [(("x", 2), 0, upper[2], entries)], tighten, added)
         assert (state is not None) == lp_feasible_brute(grown)
         if state is not None:
-            assert _point_ok(grown, state.point([state.cols[key] for key in cols]))
-
-    def test_changes_a_resume_refuses(self):
-        parent = start(*keyed(1, [({0: 1}, LE, 1), ({0: 1}, EQ, 1)]))
-        dropped, cols = keyed(1, [({0: 1}, LE, 1)])
-        with pytest.raises(LPStructureError, match="drop a row"):
-            resume(parent, dropped, cols)
-        relaxed, _ = keyed(1, [({0: 1}, LE, 1), ({0: 1}, LE, 1)])
-        with pytest.raises(LPStructureError, match="relax"):
-            resume(parent, relaxed, cols)
-        twice, _ = keyed(2, [({0: 1}, LE, 1), ({0: 1}, EQ, 1)])
-        with pytest.raises(LPStructureError, match="distinct key per variable"):
-            resume(parent, twice, [("x", 0), ("x", 0)])
-
-    def test_rows_need_keys_and_new_columns_lower_bound_zero(self):
-        parent = start(*keyed(1, [({0: 1}, LE, 1)]))
-        unkeyed = lp(1, [({0: 1}, LE, 1)])
-        with pytest.raises(LPStructureError, match="key on every row"):
-            resume(parent, unkeyed, [("x", 0)])
-        prog, _ = keyed(2, [({0: 1, 1: 1}, LE, 1)])
-        prog.lower[1] = Fraction(1, 2)
-        with pytest.raises(LPStructureError, match="lower bound 0"):
-            resume(parent, prog, [("x", 0), ("x", 1)])
+            assert _point_ok(grown, state.point(grown, cols))
 
 
 small = st.builds(Fraction, st.integers(-3, 4), st.integers(1, 2))
@@ -406,7 +408,7 @@ entry = st.builds(Fraction, st.integers(-2, 3), st.sampled_from([1, 1, 2, 3]))
 
 @st.composite
 def keyed_chains(draw):
-    """A keyed program and one that grows it the way a threshold trial
+    """A keyed program and a step that grows it the way a threshold trial
     grows its parent: a new column x_k entering some rows, one <= row
     turned into =, and new <= rows that may hold x_k."""
     k = draw(st.integers(1, 3))
@@ -416,31 +418,27 @@ def keyed_chains(draw):
         coeffs = {j: draw(entry) for j in range(k)}
         rows.append((coeffs, draw(st.sampled_from([LE, LE, EQ])), draw(small)))
     base, cols = keyed(k, rows, upper[:k])
-    grown_rows = [(dict(coeffs), rel, rhs) for coeffs, rel, rhs in rows]
-    for coeffs, _, _ in grown_rows:
-        coeffs[k] = draw(entry)
-    le_rows = [i for i, (_, rel, _) in enumerate(grown_rows) if rel == LE]
-    if le_rows:
-        i = draw(st.sampled_from(le_rows))
-        grown_rows[i] = (grown_rows[i][0], EQ, grown_rows[i][2])
-    for _ in range(draw(st.integers(0, 2))):
-        coeffs = {j: draw(entry) for j in range(k + 1)}
-        grown_rows.append((coeffs, LE, draw(small)))
-    grown, grown_cols = keyed(k + 1, grown_rows, upper)
-    return (base, cols), (grown, grown_cols)
+    entries = {("r", i): draw(entry) for i in range(len(rows))}
+    le_rows = [("r", i) for i, (_, rel, _) in enumerate(rows) if rel == LE]
+    tighten = [draw(st.sampled_from(le_rows))] if le_rows else []
+    added = []
+    for i in range(len(rows), len(rows) + draw(st.integers(0, 2))):
+        coeffs = {("x", j): draw(entry) for j in range(k + 1)}
+        added.append((("r", i), coeffs, LE, draw(small)))
+    return (base, cols), ([(("x", k), 0, upper[k], entries)], tighten, added)
 
 
 class TestWarmStartAgainstVertexOracle:
     @settings(max_examples=150, deadline=None)
     @given(keyed_chains())
     def test_resume_matches_brute_force(self, chain):
-        (base, cols), (grown, grown_cols) = chain
-        parent = start(base, cols)
+        (base, cols), step = chain
+        parent = resume(None, *from_empty(base, cols))
         assert (parent is not None) == lp_feasible_brute(base)
         if parent is None:
             return
-        state = resume(parent, grown, grown_cols)
+        grown, grown_cols = grow(base, cols, step)
+        state = resume(parent, *step)
         assert (state is not None) == lp_feasible_brute(grown)
         if state is not None:
-            point = state.point([state.cols[key] for key in grown_cols])
-            assert _point_ok(grown, point)
+            assert _point_ok(grown, state.point(grown, grown_cols))

@@ -7,9 +7,11 @@ fractions.Fraction entries; a change to the number representation alone
 must make the same pivots in the same order, because Bland's rule and the
 ratio test's tie-break read only the signs and order of exact values.
 
-Only cold solves, through feasible(), are pinned.  In divisible_fef those
-are the LP1 programs; its threshold trials resume from the last accepted
-tableau (lp.start/lp.resume), and their pivots are bounded by count.
+The "divisible" and "lp-outputs" groups pin cold solves, through
+feasible(); in divisible_fef those are the LP1 programs.  The "warm"
+group pins the pivots of the threshold trials, which divisible_fef
+decides through lp.resume() from the last accepted tableau, grown by one
+step; their count is also bounded against the cold solves they replace.
 """
 
 import hashlib
@@ -32,9 +34,11 @@ def _lp_output_programs():
         feasible(pinned_program(seed))
 
 
-# group: (pivot count, SHA-256 of "row,col;" per pivot) of the cold solves.
-# "divisible" holds the LP1 programs only: 1873 of the 5030 pivots made
-# when every threshold trial was also solved cold.
+# group: (pivot count, SHA-256 of "row,col;" per pivot).  "divisible" holds
+# the LP1 programs only: 1873 of the 5030 pivots made when every threshold
+# trial was also solved cold.  "warm" holds the threshold trials of the
+# same solves, as first recorded when each trial's program was diffed
+# against its parent's to find the step.
 PINNED_SEQUENCES = {
     "divisible": (
         1873,
@@ -44,8 +48,16 @@ PINNED_SEQUENCES = {
         90,
         "851cc4f50b84cc14018451eea5335cb50d5d62c9227895682c5636af63048429",
     ),
+    "warm": (
+        516,
+        "7f52c4000e7ef6e35037478774b9a12cc2d953fc0eb5ca44708132bbe79896b3",
+    ),
 }
-_SOLVES = {"divisible": _divisible_solves, "lp-outputs": _lp_output_programs}
+_SOLVES = {
+    "divisible": _divisible_solves,
+    "lp-outputs": _lp_output_programs,
+    "warm": _divisible_solves,
+}
 
 # The threshold trials of the "divisible" solves made 3157 pivots when each
 # was solved cold; warm starts must need at most a quarter of that.
@@ -62,26 +74,25 @@ def _record_pivots(monkeypatch, solves):
         pivots[mode[0]].append(f"{r},{col};")
         return real_pivot(rows, r, col, *args)
 
-    def warm(decide):
-        def decide_warm(*args):
-            mode[0] = "warm"
-            try:
-                return decide(*args)
-            finally:
-                mode[0] = "cold"
+    real_resume = divisible.resume
 
-        return decide_warm
+    def resume_warm(*args):
+        mode[0] = "warm"
+        try:
+            return real_resume(*args)
+        finally:
+            mode[0] = "cold"
 
     monkeypatch.setattr(lp, "_pivot", recording_pivot)
-    monkeypatch.setattr(divisible, "start", warm(divisible.start))
-    monkeypatch.setattr(divisible, "resume", warm(divisible.resume))
+    monkeypatch.setattr(divisible, "resume", resume_warm)
     solves()
     return pivots
 
 
 @pytest.mark.parametrize("group", sorted(PINNED_SEQUENCES))
 def test_pivot_sequence_unchanged(group, monkeypatch):
-    pivots = _record_pivots(monkeypatch, _SOLVES[group])["cold"]
+    mode = "warm" if group == "warm" else "cold"
+    pivots = _record_pivots(monkeypatch, _SOLVES[group])[mode]
     digest = hashlib.sha256("".join(pivots).encode()).hexdigest()
     assert (len(pivots), digest) == PINNED_SEQUENCES[group]
 
