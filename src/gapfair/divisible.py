@@ -17,10 +17,10 @@ from typing import Callable, Optional
 from .instance import (
     CHARITY,
     FractionalAllocation,
-    InfeasibleAllocationError,
     Instance,
     InternalError,
     augment,
+    check_allocation,
     density_ordering,
     require_ints,
     strip_fictional,
@@ -96,28 +96,27 @@ def build_lp(
     for a, g in cols:
         holders.setdefault(g, []).append(a)
     lp = LinearProgram(len(cols))
-    zero, one = Fraction(0), Fraction(1)  # shared, so add() converts no rhs
 
     # Dominance on internal goods; an agent without g in its support holds none.
     for a in range(instance.n):
         for g in sets.internal[a]:
             for b in holders[g]:
                 if b != a:
-                    lp.add({var[b, g]: 1, var[a, g]: -1}, LE, zero, ("dom", a, b, g))
+                    lp.add({var[b, g]: 1, var[a, g]: -1}, LE, 0, ("dom", a, b, g))
     for a in range(instance.n):
         lp.add(
             {var[a, g]: instance.size(a, g) for g in support[a]},
             budget_relation,
-            Fraction(instance.budgets[a]),
+            instance.budgets[a],
             ("budget", a),
         )
     # Internal goods fully assigned; supply caps on the other supported goods.
     internal_union = sets.internal_union
     for g in sorted(internal_union):
-        lp.add({var[a, g]: 1 for a in holders[g]}, EQ, one, ("supply", g))
+        lp.add({var[a, g]: 1 for a in holders[g]}, EQ, 1, ("supply", g))
     for g in sorted(holders):
         if g not in internal_union:
-            lp.add({var[a, g]: 1 for a in holders[g]}, LE, one, ("supply", g))
+            lp.add({var[a, g]: 1 for a in holders[g]}, LE, 1, ("supply", g))
     return lp, cols
 
 
@@ -302,10 +301,7 @@ def fef_witness(
     instance: Instance, allocation: FractionalAllocation
 ) -> Optional[FefViolation]:
     """First feasible-envy violation in (agent, target) scan order, if any."""
-    if allocation.n != instance.n or allocation.m != instance.m:
-        raise ValueError("allocation dimensions do not match the instance")
-    if not allocation.is_feasible(instance):
-        raise InfeasibleAllocationError("allocation violates a budget")
+    check_allocation(instance, allocation)
     charity = allocation.charity
     for a in range(instance.n):
         own = allocation.agent_value(instance, a)

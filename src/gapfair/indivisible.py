@@ -19,10 +19,10 @@ from typing import Callable, Optional, Union
 
 from .instance import (
     CHARITY,
-    InfeasibleAllocationError,
     Instance,
     IntegralAllocation,
     InternalError,
+    check_allocation,
     require_exact,
 )
 from .knapsack import apx_kns, kns_exact, query_for_agent
@@ -86,7 +86,8 @@ def envies(
     query = query_for_agent(instance, agent, target_goods)
     best = kns_exact(query) if eps == 0 else apx_kns(query, eps / 2)
     own = instance.bundle_value(agent, allocation.bundles[agent])
-    if (1 - eps / 2) * best.value > own:
+    # (1 - eps/2) * value > own, without forming eps/2.
+    if (2 - eps) * best.value > 2 * own:
         return EnvyWitness(agent, best.subset, best.value)
     return None
 
@@ -154,7 +155,7 @@ def _swap_loop(instance, eps, trace) -> FefxResult:
         old_value = instance.bundle_value(mes.envier, bundles[mes.envier])
         bundles[mes.envier] = mes.goods
         new_value = instance.bundle_value(mes.envier, mes.goods)
-        if not new_value * (1 - eps / 2) > old_value:
+        if not (2 - eps) * new_value > 2 * old_value:
             raise InternalError("bundle update missed its growth guarantee")
         welfare = sum(instance.bundle_value(a, bundles[a]) for a in range(n))
         record = SwapRecord(len(swaps) + 1, mes.envier, mes.goods, welfare)
@@ -204,13 +205,6 @@ class FefxViolation:
     subset_value: int
 
 
-def _check_allocation(instance: Instance, allocation: IntegralAllocation) -> None:
-    if allocation.n != instance.n or allocation.m != instance.m:
-        raise ValueError("allocation dimensions do not match the instance")
-    if not allocation.is_feasible(instance):
-        raise InfeasibleAllocationError("some bundle exceeds its agent's budget")
-
-
 def _strict_subset_violation(
     instance, agent, own, target, goods, eps: Fraction
 ) -> Optional[FefxViolation]:
@@ -244,7 +238,7 @@ def fefx_witness(
     target.
     """
     eps = _unit_eps(eps)
-    _check_allocation(instance, allocation)
+    check_allocation(instance, allocation)
     charity = allocation.charity
     for a in range(instance.n):
         own = instance.bundle_value(a, allocation.bundles[a])

@@ -277,3 +277,13 @@ class IntegralAllocation:
 
     def welfare(self, instance: Instance) -> int:
         return sum(instance.bundle_value(a, self.bundles[a]) for a in range(self.n))
+
+
+def check_allocation(
+    instance: Instance, allocation: FractionalAllocation | IntegralAllocation
+) -> None:
+    """Refuse an allocation not shaped like the instance, or over a budget."""
+    if allocation.n != instance.n or allocation.m != instance.m:
+        raise ValueError("allocation dimensions do not match the instance")
+    if not allocation.is_feasible(instance):
+        raise InfeasibleAllocationError("some bundle exceeds its agent's budget")

@@ -10,12 +10,21 @@ integers; the FPTAS accuracy parameter is an exact rational.
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass
 from fractions import Fraction
 from typing import Iterable
 
 from .instance import Instance, require_exact, require_ints
+
+
+def require_knapsack(weights, values, capacity, count: int) -> None:
+    """Refuse knapsack data other than count nonnegative int weights and
+    values and a nonnegative int capacity."""
+    if len(weights) != count or len(values) != count:
+        raise ValueError("weights/values length mismatch: they must align")
+    require_ints(weights=weights, values=values, capacity=[capacity])
+    if any(w < 0 for w in weights) or any(v < 0 for v in values) or capacity < 0:
+        raise ValueError("weights, values and capacity must be nonnegative")
 
 
 @dataclass(frozen=True)
@@ -28,13 +37,7 @@ class KnapsackQuery:
     def __post_init__(self) -> None:
         if len(set(self.items)) != len(self.items):
             raise ValueError("duplicate items in query")
-        if len(self.weights) != len(self.items) or len(self.values) != len(self.items):
-            raise ValueError("weights/values must align with items")
-        require_ints(weights=self.weights, values=self.values, capacity=[self.capacity])
-        if any(w < 0 for w in self.weights) or any(v < 0 for v in self.values):
-            raise ValueError("weights and values must be nonnegative")
-        if self.capacity < 0:
-            raise ValueError("capacity must be nonnegative")
+        require_knapsack(self.weights, self.values, self.capacity, len(self.items))
 
 
 @dataclass(frozen=True)
@@ -124,9 +127,9 @@ def kns_exact(q: KnapsackQuery) -> KnapsackSolution:
 def apx_kns(q: KnapsackQuery, eps: Fraction) -> KnapsackSolution:
     """Value-scaling FPTAS: feasible subset with value >= (1-eps) * optimum.
 
-    Values are scaled by K = eps * v_max / |items| (K = 1 when the formula
-    yields less than 1, making the run exact) and the kernel picks the
-    lightest subset reaching the largest scaled total.
+    Values v are scaled to floor(v / K), K = eps * v_max / |items| (K = 1
+    when the formula yields less than 1, making the run exact), and the
+    kernel picks the lightest subset reaching the largest scaled total.
     """
     eps = require_exact("eps", eps)
     if not 0 < eps <= 1:
@@ -135,7 +138,7 @@ def apx_kns(q: KnapsackQuery, eps: Fraction) -> KnapsackSolution:
     if not rest:
         return _solution(q, frozenset(forced))
     vmax = max(v for _, _, v in rest)
-    scale = max(eps * vmax / len(rest), Fraction(1))
-    scaled = [math.floor(Fraction(v) / scale) for _, _, v in rest]
+    scale = max(eps * vmax / len(rest), 1)
+    scaled = [v * scale.denominator // scale.numerator for _, _, v in rest]
     chosen = _best_subset(rest, scaled, q.capacity)
     return _solution(q, frozenset(forced) | frozenset(chosen))

@@ -5,14 +5,15 @@ loop of the divisible solver asks nothing else.  Variables carry native
 box bounds (bounded-variable simplex) and the pivot rule is Bland's, so
 the solve terminates without perturbation.
 
-The simplex runs on integers, and each tableau row keeps its own scale:
-the coefficient of its basic variable is its denominator.  A pivot
-combines only the rows that hold the entering column and divides each of
-them, together with its basic value, by their gcd.
-fractions.Fraction is used only outside the simplex loop: in presolve
-where a singleton row divides, for the values a row added to a warm
-start is measured at, and for the returned point.  The exact self-check
-of every returned point compares integers.
+Program data (coefficients, right-hand sides, bounds) are ints or
+Fractions, stored and used as given.  The simplex runs on integers, and
+each tableau row keeps its own scale: the coefficient of its basic
+variable is its denominator.  A pivot combines only the rows that hold
+the entering column and divides each of them, together with its basic
+value, by their gcd.  A Fraction is formed only where a quotient is
+needed: in presolve where a singleton row divides, for the values a row
+added to a warm start is measured at, and for the returned point.  The
+exact self-check of every returned point compares integers.
 
 resume() is the one way into the tableau: it copies the final tableau of
 a program decided before, or starts from the empty one, applies a step
@@ -39,6 +40,7 @@ _RELATIONS = (LE, EQ)
 # Added to the rank of a slack or artificial: they come after every variable.
 _AFTER = 1 << 62
 _EXACT = frozenset((int, Fraction))
+_INT = frozenset((int,))
 
 
 class LPStructureError(ValueError):
@@ -49,7 +51,7 @@ class LPStructureError(ValueError):
 class Constraint:
     coeffs: dict[int, int | Fraction]
     relation: str
-    rhs: Fraction
+    rhs: int | Fraction
     key: Optional[Hashable] = None
 
 
@@ -57,30 +59,31 @@ class Constraint:
 class LinearProgram:
     var_count: int
     constraints: list[Constraint] = field(default_factory=list)
-    lower: list[Fraction] = field(default_factory=list)
-    upper: list[Fraction] = field(default_factory=list)
+    lower: list[int | Fraction] = field(default_factory=list)
+    upper: list[int | Fraction] = field(default_factory=list)
 
     def __post_init__(self) -> None:
+        if type(self.var_count) is not int or self.var_count < 0:  # bool is an int
+            raise LPStructureError(f"var_count: {self.var_count!r} is not an int >= 0")
         if not self.lower:
-            self.lower = [Fraction(0)] * self.var_count
+            self.lower = [0] * self.var_count
         if not self.upper:
-            self.upper = [Fraction(1)] * self.var_count
+            self.upper = [1] * self.var_count
 
     def add(
         self,
         coeffs: dict[int, int | Fraction],
         relation: str,
-        rhs,
+        rhs: int | Fraction,
         key: Optional[Hashable] = None,
     ) -> None:
-        """Append a row; nonzero coefficients are stored as given.
+        """Append a row; its nonzero coefficients and its right-hand side are
+        stored as given, ints or Fractions.
 
         key names the row; pretty() prints it."""
         values = coeffs.values()
         _check_exact((*values, rhs), "constraint", len(self.constraints))
         nonzero = {j: c for j, c in coeffs.items() if c} if 0 in values else dict(coeffs)
-        if type(rhs) is not Fraction:
-            rhs = Fraction(rhs)
         self.constraints.append(Constraint(nonzero, relation, rhs, key))
 
     def pretty(self, names: Optional[list[str]] = None) -> str:
@@ -130,13 +133,15 @@ def _validate(lp: LinearProgram) -> None:
     for j, (lo, up) in enumerate(zip(lp.lower, lp.upper)):
         if lo.numerator * up.denominator > up.numerator * lo.denominator:
             raise LPStructureError(f"variable {j}: lower bound exceeds upper")
+    in_range = range(n).__contains__
     for idx, c in enumerate(lp.constraints):
         if c.relation not in _RELATIONS:
             raise LPStructureError(f"constraint {idx}: bad relation {c.relation!r}")
         _check_exact((*c.coeffs.values(), c.rhs), "constraint", idx)
-        if c.coeffs and (min(c.coeffs) < 0 or max(c.coeffs) >= n):
-            j = next(j for j in c.coeffs if j < 0 or j >= n)
-            raise LPStructureError(f"constraint {idx}: variable {j} out of range")
+        # Types first: bool is an int, and 1.0 is in range(2).
+        if not _INT.issuperset(map(type, c.coeffs)) or not all(map(in_range, c.coeffs)):
+            j = next(j for j in c.coeffs if type(j) is not int or not in_range(j))
+            raise LPStructureError(f"constraint {idx}: variable {j!r} out of range")
 
 
 def _satisfies(lp: LinearProgram, point: tuple[Fraction, ...]) -> bool:
@@ -160,11 +165,6 @@ def _satisfies(lp: LinearProgram, point: tuple[Fraction, ...]) -> bool:
     return True
 
 
-def _exact(v):
-    """v as an int when it is integral."""
-    return v.numerator if v.denominator == 1 else v
-
-
 def feasible(lp: LinearProgram) -> FeasibilityResult:
     """Decide whether the polyhedron is nonempty.
 
@@ -173,10 +173,9 @@ def feasible(lp: LinearProgram) -> FeasibilityResult:
     LPStructureError instead of reporting Infeasible.
     """
     _validate(lp)
-    lo = [_exact(v) for v in lp.lower]
-    up = [_exact(v) for v in lp.upper]
+    lo, up = list(lp.lower), list(lp.upper)
     rows = [
-        ({j: c for j, c in c.coeffs.items() if c}, c.relation, _exact(c.rhs))
+        ({j: c for j, c in c.coeffs.items() if c}, c.relation, c.rhs)
         for c in lp.constraints
     ]
 

@@ -17,7 +17,8 @@ from fractions import Fraction
 from typing import Callable, Optional
 
 from .indivisible import compute_fefx
-from .instance import FractionalAllocation, Instance, require_ints
+from .instance import FractionalAllocation, Instance
+from .knapsack import require_knapsack
 
 
 @dataclass(frozen=True)
@@ -29,13 +30,7 @@ class KnapsackProblem:
     def __post_init__(self) -> None:
         object.__setattr__(self, "weights", tuple(self.weights))
         object.__setattr__(self, "values", tuple(self.values))
-        if len(self.weights) != len(self.values):
-            raise ValueError("weights/values length mismatch")
-        require_ints(weights=self.weights, values=self.values, capacity=[self.capacity])
-        if any(w < 0 for w in self.weights) or any(v < 0 for v in self.values):
-            raise ValueError("weights and values must be nonnegative")
-        if self.capacity < 0:
-            raise ValueError("capacity must be nonnegative")
+        require_knapsack(self.weights, self.values, self.capacity, len(self.weights))
 
     @property
     def item_count(self) -> int:

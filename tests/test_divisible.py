@@ -309,6 +309,24 @@ class TestDominationCheck:
         )
         assert not check_density_domination(aug, idle, (2, 2))
 
+    def test_rejects_dominance_violation(self):
+        # At tau = (2, 1), good 0 is internal to agent 0, who holds less of
+        # it than agent 1; both budgets are spent.
+        aug = augment(identical_pair())
+        x = FractionalAllocation(
+            ((Fraction(0), Fraction(1, 4)), (Fraction(1), Fraction(0)))
+        )
+        assert not check_density_domination(aug, x, (2, 1))
+
+    def test_rejects_unbalanced_internal_supply(self):
+        # Good 0 is internal and the budget is spent, half on the fictional
+        # good, but only half of good 0 is assigned.
+        aug = augment(Instance(1, 1, ((1,),), ((1,),), (1,)))
+        x = FractionalAllocation(((Fraction(1, 2), Fraction(1, 4)),))
+        assert not check_density_domination(aug, x, (2,))
+        x = FractionalAllocation(((Fraction(1), Fraction(0)),))
+        assert check_density_domination(aug, x, (2,))
+
     def test_dimension_mismatch(self):
         aug = augment(identical_pair())
         with pytest.raises(ValueError, match="dimensions"):

@@ -156,6 +156,10 @@ class TestFractionalAllocation:
         with pytest.raises(ValueError, match="outside"):
             FractionalAllocation(((Fraction(-1, 2),),))
 
+    def test_rejects_no_rows(self):
+        with pytest.raises(ValueError, match="at least one agent row"):
+            FractionalAllocation(())
+
     def test_rejects_ragged_rows(self):
         with pytest.raises(ValueError, match="ragged"):
             FractionalAllocation(((Fraction(0), Fraction(0)), (Fraction(0),)))

@@ -109,6 +109,19 @@ class TestStructureErrors:
         with pytest.raises(LPStructureError, match="out of range"):
             feasible(prog)
 
+    @pytest.mark.parametrize("index", ["x", None, 1.0, True, -1, 2])
+    def test_column_index_not_an_int_in_range(self, index):
+        prog = LinearProgram(2)
+        prog.add({0: 1}, LE, 1)
+        prog.add({index: 1}, LE, 1)
+        with pytest.raises(LPStructureError, match="constraint 1: variable"):
+            feasible(prog)
+
+    @pytest.mark.parametrize("count", [True, 2.0, -1, "2", None])
+    def test_var_count_not_a_nonnegative_int(self, count):
+        with pytest.raises(LPStructureError, match="var_count"):
+            LinearProgram(count)
+
     def test_crossed_bounds(self):
         prog = lp(1, [], lower=[1], upper=[0])
         with pytest.raises(LPStructureError, match="lower bound"):
@@ -141,7 +154,9 @@ class TestStructureErrors:
         prog.add({0: 2, 1: Fraction(1, 2), 2: 0}, LE, 1)
         (row,) = prog.constraints
         assert row.coeffs == {0: 2, 1: Fraction(1, 2)}
-        assert type(row.coeffs[0]) is int and type(row.rhs) is Fraction
+        assert type(row.coeffs[0]) is int and type(row.rhs) is int
+        prog.add({0: 1}, EQ, Fraction(1, 3))
+        assert prog.constraints[1].rhs == Fraction(1, 3)
 
     def test_bad_bound_lengths(self):
         prog = LinearProgram(2)

@@ -1,0 +1,109 @@
+"""Refusal branches of the CLI: each malformed input or failed re-check
+gets its exit code, and the message names the field at fault."""
+
+import json
+
+import pytest
+
+from gapfair import divisible, indivisible
+from gapfair.cli import EXIT_BAD_INPUT, EXIT_INTERNAL, EXIT_OK
+from test_cli import inst_path, run  # noqa: F401 (inst_path is a fixture)
+
+
+def expect_bad_input(capsys, argv, field):
+    capsys.readouterr()
+    assert run(*argv) == EXIT_BAD_INPUT
+    assert field in capsys.readouterr().err
+
+
+@pytest.mark.parametrize(
+    "values, field",
+    [([[1, 2]], "field 'values'"), ([[1, 2], [1]], "field 'values' row 2")],
+    ids=["row-count", "row-length"],
+)
+def test_instance_matrix_shape(tmp_path, capsys, values, field):
+    path = tmp_path / "inst.json"
+    doc = {"n": 2, "m": 2, "budgets": [1, 1], "values": values, "sizes": [[1, 1]] * 2}
+    path.write_text(json.dumps(doc))
+    expect_bad_input(capsys, ["solve-fefx", path], field)
+
+
+@pytest.mark.parametrize(
+    "solver, mode, edit, field",
+    [
+        ("solve-fefx", "fefx", lambda doc: [doc], "expected a JSON object"),
+        (
+            "solve-divisible",
+            "fef",
+            lambda doc: {**doc, "x": doc["x"][:1]},
+            "field 'x': expected one row per agent",
+        ),
+        (
+            "solve-divisible",
+            "fef",
+            lambda doc: {**doc, "x": [doc["x"][0][:-1], doc["x"][1]]},
+            "field 'x': ragged row",
+        ),
+        (
+            "solve-fefx",
+            "fefx",
+            lambda doc: {**doc, "bundles": doc["bundles"][:1]},
+            "field 'bundles': expected one per agent",
+        ),
+    ],
+    ids=["not-an-object", "x-row-count", "x-ragged", "bundles-count"],
+)
+def test_allocation_file_shape(inst_path, tmp_path, capsys, solver, mode, edit, field):
+    out = tmp_path / "alloc.json"
+    assert run(solver, inst_path, "-o", out) == EXIT_OK
+    out.write_text(json.dumps(edit(json.loads(out.read_text()))))
+    expect_bad_input(capsys, ["verify", out, "--mode", mode], field)
+
+
+@pytest.mark.parametrize(
+    "doc, field",
+    [
+        ([1, 2], "expected a JSON object"),
+        ({"m": 0, "capacity": 1, "weights": [], "values": []}, "field 'm'"),
+    ],
+    ids=["not-an-object", "m-zero"],
+)
+def test_knapsack_file(tmp_path, capsys, doc, field):
+    path = tmp_path / "kp.json"
+    path.write_text(json.dumps(doc))
+    expect_bad_input(capsys, ["reduce-knapsack", path], field)
+
+
+def test_unparsable_eps(inst_path, capsys):
+    with pytest.raises(SystemExit) as exc:
+        run("solve-approx-fefx", inst_path, "--eps", "one/ten")
+    assert exc.value.code == EXIT_BAD_INPUT
+    err = capsys.readouterr().err
+    assert "--eps" in err and "bad rational 'one/ten'" in err
+
+
+def test_fefx_mode_on_fractional_allocation(inst_path, tmp_path, capsys):
+    out = tmp_path / "alloc.json"
+    assert run("solve-divisible", inst_path, "-o", out) == EXIT_OK
+    expect_bad_input(
+        capsys,
+        ["verify", out, "--mode", "fefx"],
+        "mode fefx needs an integral allocation",
+    )
+
+
+@pytest.mark.parametrize(
+    "solver, module, verifier",
+    [
+        ("solve-divisible", divisible, "verify_fef"),
+        ("solve-fefx", indivisible, "verify_fefx"),
+    ],
+)
+def test_failed_reverification_exits_4(
+    inst_path, tmp_path, monkeypatch, capsys, solver, module, verifier
+):
+    monkeypatch.setattr(module, verifier, lambda *args: False)
+    out = tmp_path / "alloc.json"
+    assert run(solver, inst_path, "-o", out) == EXIT_INTERNAL
+    assert "solver output failed verification" in capsys.readouterr().err
+    assert not out.exists()
