@@ -14,6 +14,7 @@ InternalError or built a malformed program, LPStructureError).
 from __future__ import annotations
 
 import argparse
+import functools
 import random
 import sys
 from fractions import Fraction
@@ -75,6 +76,7 @@ def _eps(text: str) -> Fraction:
     return eps
 
 
+@functools.cache
 def _parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="gapfair",
@@ -213,8 +215,7 @@ def _cmd_verify(args) -> int:
     if not isinstance(allocation, IntegralAllocation):
         print(f"mode {args.mode} needs an integral allocation", file=sys.stderr)
         return EXIT_BAD_INPUT
-    eps = Fraction(0) if args.eps is None else args.eps
-    witness = indivisible.fefx_witness(instance, allocation, eps)
+    witness = indivisible.fefx_witness(instance, allocation, args.eps or 0)
     if witness is None:
         print("PASS")
         return EXIT_OK

@@ -61,8 +61,9 @@ class FefxResult:
     swaps: tuple[SwapRecord, ...]
 
 
-def _unit_eps(eps) -> Fraction:
-    eps = require_exact("eps", eps)
+def _unit_eps(eps) -> Union[int, Fraction]:
+    if type(eps) not in (int, Fraction):
+        raise ValueError(f"eps: {eps!r} is not an int or Fraction")
     if not 0 <= eps < 1:
         raise ValueError("eps must lie in [0, 1)")
     return eps
@@ -73,7 +74,7 @@ def envies(
     allocation: IntegralAllocation,
     agent: int,
     target_goods: frozenset[int],
-    eps: Fraction = Fraction(0),
+    eps: Union[int, Fraction] = 0,
 ) -> Optional[EnvyWitness]:
     """Witness that the agent envies the target set, or None.
 
@@ -82,28 +83,25 @@ def envies(
     comes from the exact knapsack DP when eps = 0 and from the FPTAS at
     accuracy eps/2 otherwise.  eps is an int or Fraction in [0, 1).
     """
-    eps = _unit_eps(eps)
-    query = query_for_agent(instance, agent, target_goods)
-    best = kns_exact(query) if eps == 0 else apx_kns(query, eps / 2)
     own = instance.bundle_value(agent, allocation.bundles[agent])
-    # (1 - eps/2) * value > own, without forming eps/2.
-    if (2 - eps) * best.value > 2 * own:
-        return EnvyWitness(agent, best.subset, best.value)
-    return None
+    return _first_envy(instance, [(agent, own)], target_goods, _unit_eps(eps))
 
 
-def _first_envy(instance, allocation, goods, eps) -> Optional[EnvyWitness]:
-    for a in range(instance.n):
-        witness = envies(instance, allocation, a, goods, eps=eps)
-        if witness is not None:
-            return witness
+def _first_envy(instance, owns, goods, eps) -> Optional[EnvyWitness]:
+    """First (agent, own value) in `owns` whose agent envies `goods`."""
+    for agent, own in owns:
+        query = query_for_agent(instance, agent, goods)
+        best = kns_exact(query) if eps == 0 else apx_kns(query, eps / 2)
+        # (1 - eps/2) * value > own, without forming eps/2.
+        if (2 - eps) * best.value > 2 * own:
+            return EnvyWitness(agent, best.subset, best.value)
     return None
 
 
 def find_minimal_envied_subset(
     instance: Instance,
     allocation: IntegralAllocation,
-    eps: Fraction = Fraction(0),
+    eps: Union[int, Fraction] = 0,
 ) -> MinimalEnviedSet:
     """Shrink the charity to a minimal envied set and its envying agent.
 
@@ -116,14 +114,14 @@ def find_minimal_envied_subset(
     NotEnviedError when no agent envies the charity in the first place.
     """
     eps = _unit_eps(eps)
-    charity = allocation.charity
-    last = _first_envy(instance, allocation, charity, eps)
+    owns = [(a, instance.bundle_value(a, allocation.bundles[a])) for a in range(instance.n)]
+    last = _first_envy(instance, owns, allocation.charity, eps)
     if last is None:
         raise NotEnviedError("charity is not envied by any agent")
-    t = set(charity)
+    t = set(allocation.charity)
     while True:
         for g in sorted(t):
-            hit = _first_envy(instance, allocation, frozenset(t - {g}), eps)
+            hit = _first_envy(instance, owns, frozenset(t - {g}), eps)
             if hit is not None:
                 break
         else:
@@ -173,7 +171,7 @@ def compute_fefx(
     Social welfare strictly increases each iteration, so the loop runs at
     most n * max_a v_a([m]) times.
     """
-    return _swap_loop(instance, Fraction(0), trace)
+    return _swap_loop(instance, 0, trace)
 
 
 def compute_approx_fefx(
@@ -187,8 +185,7 @@ def compute_approx_fefx(
     1/(1 - eps/2), which bounds the per-agent update count
     logarithmically.
     """
-    eps = require_exact("eps", eps)
-    if not 0 < eps < 1:
+    if not 0 < require_exact("eps", eps) < 1:
         raise ValueError("eps must lie in (0, 1)")
     return _swap_loop(instance, eps, trace)
 
@@ -229,7 +226,7 @@ def _strict_subset_violation(
 def fefx_witness(
     instance: Instance,
     allocation: IntegralAllocation,
-    eps: Fraction = Fraction(0),
+    eps: Union[int, Fraction] = 0,
 ) -> Optional[FefxViolation]:
     """First FEFx violation at relaxation factor (1-eps), or None.
 

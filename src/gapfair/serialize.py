@@ -47,6 +47,8 @@ def _load_json(path: Path) -> Any:
         raise InstanceFormatError(f"{path}: not UTF-8 text ({exc.reason})") from exc
     except RecursionError as exc:
         raise InstanceFormatError(f"{path}: JSON nested too deeply") from exc
+    except ValueError as exc:  # e.g. an integer literal past Python's digit limit
+        raise InstanceFormatError(f"{path}: {exc}") from exc
 
 
 def _int_list(doc: Any, field: str, length: int) -> list[int]:

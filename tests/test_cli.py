@@ -374,3 +374,17 @@ class TestReduceKnapsack:
             json.dumps({"m": 1, "capacity": True, "weights": [1], "values": [1]})
         )
         assert run("reduce-knapsack", path) == EXIT_BAD_INPUT
+
+
+class TestParserReuse:
+    """The argparse tree is built once per process; each call still gets
+    its own defaults."""
+
+    def test_parser_is_built_once(self):
+        assert cli._parser() is cli._parser()
+
+    def test_eps_default_survives_an_approx_run(self, inst_path, capsys):
+        assert run("solve-approx-fefx", inst_path, "--eps", "1/10") == EXIT_OK
+        assert "verification: PASS ((1-1/10)-FEFx)" in capsys.readouterr().out
+        assert run("solve-fefx", inst_path) == EXIT_OK
+        assert "verification: PASS (FEFx)" in capsys.readouterr().out

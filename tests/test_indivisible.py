@@ -25,6 +25,7 @@ from gapfair import (
     verify_approx_fefx,
     verify_fefx,
 )
+from gapfair.cli import gen_random
 from oracles import (
     best_strict_subset_value_brute,
     best_subset_value_brute,
@@ -316,3 +317,42 @@ class TestApproxPipeline:
             new = Fraction(inst.bundle_value(rec.agent, rec.goods))
             assert new * (1 - eps / 2) > last[rec.agent]
             last[rec.agent] = new
+
+
+class TestOneEpsCheckPerSearch:
+    """eps is checked once per minimal-envied-subset search, not once per
+    envy test, and the knapsack traffic is what it was before."""
+
+    INSTANCE = gen_random(1, 4, 12, max_value=100000)
+
+    @staticmethod
+    def counted(monkeypatch, name):
+        calls = []
+        inner = getattr(indivisible, name)
+        monkeypatch.setattr(
+            indivisible, name, lambda *args: calls.append(1) or inner(*args)
+        )
+        return calls
+
+    def solve(self, eps):
+        if eps is None:
+            return compute_fefx(self.INSTANCE)
+        return compute_approx_fefx(self.INSTANCE, eps)
+
+    @pytest.mark.parametrize("eps", [None, Fraction(1, 10)], ids=["fefx", "approx-fefx"])
+    def test_one_eps_check_per_search(self, monkeypatch, eps):
+        checks = self.counted(monkeypatch, "_unit_eps")
+        result = self.solve(eps)
+        assert len(result.swaps) == 21
+        assert len(checks) == len(result.swaps) + 1
+
+    @pytest.mark.parametrize(
+        "eps, exact_calls, apx_calls",
+        [(None, 395, 0), (Fraction(1, 10), 0, 397)],
+        ids=["fefx", "approx-fefx"],
+    )
+    def test_knapsack_calls_are_pinned(self, monkeypatch, eps, exact_calls, apx_calls):
+        exact = self.counted(monkeypatch, "kns_exact")
+        apx = self.counted(monkeypatch, "apx_kns")
+        assert len(self.solve(eps).swaps) == 21
+        assert (len(exact), len(apx)) == (exact_calls, apx_calls)

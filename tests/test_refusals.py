@@ -2,6 +2,7 @@
 gets its exit code, and the message names the field at fault."""
 
 import json
+import sys
 
 import pytest
 
@@ -107,3 +108,27 @@ def test_failed_reverification_exits_4(
     assert run(solver, inst_path, "-o", out) == EXIT_INTERNAL
     assert "solver output failed verification" in capsys.readouterr().err
     assert not out.exists()
+
+
+# Python refuses to convert integer literals longer than its digit limit
+# (4300 digits by default); json.load then raises a plain ValueError.
+LONG_INT = "9" * 5000
+
+
+@pytest.mark.skipif(
+    not 0 < getattr(sys, "get_int_max_str_digits", lambda: 0)() < len(LONG_INT),
+    reason="this interpreter converts 5000-digit integer literals",
+)
+@pytest.mark.parametrize(
+    "argv, text",
+    [
+        (["solve-fefx"], '{"n": 1, "m": 1, "budgets": [%s]}'),
+        (["verify", "--mode", "fefx"], '{"instance": "inst.json", "bundles": [[%s]]}'),
+        (["reduce-knapsack"], '{"m": 1, "capacity": %s}'),
+    ],
+    ids=["instance", "allocation", "knapsack"],
+)
+def test_oversized_integer_literal(tmp_path, capsys, argv, text):
+    path = tmp_path / "input.json"
+    path.write_text(text % LONG_INT)
+    expect_bad_input(capsys, [argv[0], path, *argv[1:]], f"{path}: ")
