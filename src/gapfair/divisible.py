@@ -22,6 +22,7 @@ from .instance import (
     augment,
     check_allocation,
     density_ordering,
+    require_agent,
     require_ints,
     strip_fictional,
 )
@@ -275,6 +276,7 @@ def best_feasible_value(
     (ties by ascending index), each taken up to the target fraction, with
     the last good split at the budget boundary.
     """
+    require_agent(instance, agent)
     remaining = Fraction(instance.budgets[agent])
     total = Fraction(0)
     for g in density_ordering(instance, agent):

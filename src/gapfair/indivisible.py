@@ -23,6 +23,8 @@ from .instance import (
     IntegralAllocation,
     InternalError,
     check_allocation,
+    check_shape,
+    require_agent,
     require_exact,
 )
 from .knapsack import apx_kns, kns_exact, query_for_agent
@@ -62,9 +64,7 @@ class FefxResult:
 
 
 def _unit_eps(eps) -> Union[int, Fraction]:
-    if type(eps) not in (int, Fraction):
-        raise ValueError(f"eps: {eps!r} is not an int or Fraction")
-    if not 0 <= eps < 1:
+    if not 0 <= require_exact("eps", eps) < 1:
         raise ValueError("eps must lie in [0, 1)")
     return eps
 
@@ -83,6 +83,8 @@ def envies(
     comes from the exact knapsack DP when eps = 0 and from the FPTAS at
     accuracy eps/2 otherwise.  eps is an int or Fraction in [0, 1).
     """
+    check_shape(instance, allocation)
+    require_agent(instance, agent)
     own = instance.bundle_value(agent, allocation.bundles[agent])
     return _first_envy(instance, [(agent, own)], target_goods, _unit_eps(eps))
 
@@ -114,6 +116,7 @@ def find_minimal_envied_subset(
     NotEnviedError when no agent envies the charity in the first place.
     """
     eps = _unit_eps(eps)
+    check_shape(instance, allocation)
     owns = [(a, instance.bundle_value(a, allocation.bundles[a])) for a in range(instance.n)]
     last = _first_envy(instance, owns, allocation.charity, eps)
     if last is None:

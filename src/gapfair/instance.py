@@ -39,12 +39,12 @@ def require_ints(**fields: Iterable[Any]) -> None:
                 raise ValueError(f"{field}: {v!r} is not an int")
 
 
-def require_exact(field: str, v: Any) -> Fraction:
-    """v as a Fraction; refuse anything but an int or a Fraction, so that a
+def require_exact(field: str, v: Any) -> int | Fraction:
+    """v as given; refuse anything but an int or a Fraction, so that a
     float's binary expansion or a bool is never computed with."""
     if type(v) not in (int, Fraction):
         raise ValueError(f"{field}: {v!r} is not an int or Fraction")
-    return Fraction(v)
+    return v
 
 
 def _rows(field: str, rows: Iterable[Any]) -> tuple[tuple[Any, ...], ...]:
@@ -193,7 +193,9 @@ class FractionalAllocation:
     x: tuple[tuple[Fraction, ...], ...]
 
     def __post_init__(self) -> None:
-        rows = tuple(tuple(require_exact("x", v) for v in row) for row in self.x)
+        rows = tuple(
+            tuple(Fraction(require_exact("x", v)) for v in row) for row in self.x
+        )
         object.__setattr__(self, "x", rows)
         if not rows:
             raise ValueError("allocation needs at least one agent row")
@@ -279,11 +281,24 @@ class IntegralAllocation:
         return sum(instance.bundle_value(a, self.bundles[a]) for a in range(self.n))
 
 
+def require_agent(instance: Instance, agent: int) -> None:
+    """Refuse an agent index outside [0, n), which would otherwise wrap."""
+    if not 0 <= agent < instance.n:
+        raise ValueError(f"agent index {agent} out of range")
+
+
+def check_shape(
+    instance: Instance, allocation: FractionalAllocation | IntegralAllocation
+) -> None:
+    """Refuse an allocation not shaped like the instance."""
+    if allocation.n != instance.n or allocation.m != instance.m:
+        raise ValueError("allocation dimensions do not match the instance")
+
+
 def check_allocation(
     instance: Instance, allocation: FractionalAllocation | IntegralAllocation
 ) -> None:
     """Refuse an allocation not shaped like the instance, or over a budget."""
-    if allocation.n != instance.n or allocation.m != instance.m:
-        raise ValueError("allocation dimensions do not match the instance")
+    check_shape(instance, allocation)
     if not allocation.is_feasible(instance):
         raise InfeasibleAllocationError("some bundle exceeds its agent's budget")

@@ -14,7 +14,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from typing import Iterable
 
-from .instance import Instance, require_exact, require_ints
+from .instance import Instance, require_agent, require_exact, require_ints
 
 
 def require_knapsack(weights, values, capacity, count: int) -> None:
@@ -29,7 +29,7 @@ def require_knapsack(weights, values, capacity, count: int) -> None:
 
 @dataclass(frozen=True)
 class KnapsackQuery:
-    items: tuple[int, ...]  # distinct good indices, ascending
+    items: tuple[int, ...]  # distinct good indices; ties break by position
     weights: tuple[int, ...]
     values: tuple[int, ...]
     capacity: int
@@ -48,45 +48,39 @@ class KnapsackSolution:
 
 
 def query_for_agent(instance: Instance, agent: int, goods: Iterable[int]) -> KnapsackQuery:
+    require_agent(instance, agent)
     items = tuple(sorted(goods))
+    if items and not (0 <= items[0] and items[-1] < instance.m):
+        raise ValueError(f"goods {items} out of range [0, {instance.m})")
+    sizes, values = instance.sizes[agent], instance.values[agent]
     return KnapsackQuery(
         items=items,
-        weights=tuple(instance.size(agent, g) for g in items),
-        values=tuple(instance.value(agent, g) for g in items),
+        weights=tuple(sizes[g] for g in items),
+        values=tuple(values[g] for g in items),
         capacity=instance.budgets[agent],
     )
 
 
 def _split_forced(q: KnapsackQuery):
-    """Separate items the DP need not consider.
+    """Separate items the DP need not consider, as (item, weight, value).
 
     Zero-weight positive-value items are always taken; zero-value and
     over-capacity items are never taken.
     """
-    forced: list[int] = []
-    rest: list[tuple[int, int, int]] = []  # (item, weight, value)
-    for item, w, v in zip(q.items, q.weights, q.values):
+    forced: list[tuple[int, int, int]] = []
+    rest: list[tuple[int, int, int]] = []
+    for entry in zip(q.items, q.weights, q.values):
+        _, w, v = entry
         if w == 0:
             if v > 0:
-                forced.append(item)
-            continue
-        if v == 0 or w > q.capacity:
-            continue
-        rest.append((item, w, v))
+                forced.append(entry)
+        elif v > 0 and w <= q.capacity:
+            rest.append(entry)
     return forced, rest
 
 
-def _solution(q: KnapsackQuery, subset: frozenset[int]) -> KnapsackSolution:
-    idx = {item: i for i, item in enumerate(q.items)}
-    return KnapsackSolution(
-        subset=subset,
-        value=sum(q.values[idx[g]] for g in subset),
-        weight=sum(q.weights[idx[g]] for g in subset),
-    )
-
-
-def _best_subset(rest, scaled: list[int], cap: int) -> list[int]:
-    """Items of `rest` reaching the largest scaled total within `cap`.
+def _knapsack(forced, rest, scaled: list[int], cap: int) -> KnapsackSolution:
+    """`forced` plus the items of `rest` of largest scaled total within `cap`.
 
     fronts[i] maps each scaled total reachable by the first i items to its
     least weight, keeping only totals lighter than every larger total, so
@@ -104,13 +98,17 @@ def _best_subset(rest, scaled: list[int], cap: int) -> list[int]:
             if merged[t] < lightest:
                 front[t] = lightest = merged[t]
         fronts.append(front)
-    chosen: list[int] = []
+    chosen = list(forced)
     t = max(fronts[-1])
     for i in range(len(rest), 0, -1):
         if fronts[i - 1].get(t) != fronts[i][t]:
-            chosen.append(rest[i - 1][0])
+            chosen.append(rest[i - 1])
             t -= scaled[i - 1]
-    return chosen
+    return KnapsackSolution(
+        subset=frozenset(g for g, _, _ in chosen),
+        value=sum(v for _, _, v in chosen),
+        weight=sum(w for _, w, _ in chosen),
+    )
 
 
 def kns_exact(q: KnapsackQuery) -> KnapsackSolution:
@@ -120,25 +118,23 @@ def kns_exact(q: KnapsackQuery) -> KnapsackSolution:
     remaining ties exclude the later item first.
     """
     forced, rest = _split_forced(q)
-    chosen = _best_subset(rest, [v for _, _, v in rest], q.capacity)
-    return _solution(q, frozenset(forced) | frozenset(chosen))
+    return _knapsack(forced, rest, [v for _, _, v in rest], q.capacity)
 
 
 def apx_kns(q: KnapsackQuery, eps: Fraction) -> KnapsackSolution:
     """Value-scaling FPTAS: feasible subset with value >= (1-eps) * optimum.
 
-    Values v are scaled to floor(v / K), K = eps * v_max / |items| (K = 1
-    when the formula yields less than 1, making the run exact), and the
-    kernel picks the lightest subset reaching the largest scaled total.
+    Values v are scaled, in integers, to floor(v / K), K = max(eps * v_max
+    / r, 1), where r and v_max are the number and largest value of the
+    items the DP considers (K = 1 makes the run exact); the kernel picks
+    the lightest subset reaching the largest scaled total.
     """
-    eps = require_exact("eps", eps)
-    if not 0 < eps <= 1:
+    if not 0 < require_exact("eps", eps) <= 1:
         raise ValueError("eps must lie in (0, 1]")
     forced, rest = _split_forced(q)
-    if not rest:
-        return _solution(q, frozenset(forced))
-    vmax = max(v for _, _, v in rest)
-    scale = max(eps * vmax / len(rest), 1)
-    scaled = [v * scale.denominator // scale.numerator for _, _, v in rest]
-    chosen = _best_subset(rest, scaled, q.capacity)
-    return _solution(q, frozenset(forced) | frozenset(chosen))
+    scaled = [v for _, _, v in rest]
+    num = eps.numerator * max(scaled, default=0)
+    den = eps.denominator * len(rest)
+    if num > den:  # K = num / den > 1
+        scaled = [v * den // num for v in scaled]
+    return _knapsack(forced, rest, scaled, q.capacity)

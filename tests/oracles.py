@@ -114,6 +114,42 @@ def kns_brute(q: KnapsackQuery) -> KnapsackSolution:
     return KnapsackSolution(subset=subset, value=best_value, weight=best_weight)
 
 
+def apx_kns_reference(q: KnapsackQuery, eps) -> KnapsackSolution:
+    """The FPTAS with its scale K computed in Fraction, by full enumeration.
+
+    Zero-weight positive-value items are always taken.  The r items of
+    positive weight and value within the capacity have their values scaled
+    to floor(v / K), K = max(eps * v_max / r, 1), v_max their largest
+    value.  Among their subsets within the capacity, the largest scaled
+    total wins, then the least weight, then the smallest bitmask (item i of
+    the r is bit i), so the later item is excluded first.  r <= 20.
+    """
+    rows = list(zip(q.items, q.weights, q.values))
+    forced = [g for g, w, v in rows if w == 0 and v > 0]
+    rest = [(g, w, v) for g, w, v in rows if 0 < w <= q.capacity and v > 0]
+    if len(rest) > _BRUTE_LIMIT:
+        raise ValueError(f"brute force limited to {_BRUTE_LIMIT} items")
+    chosen: list[int] = []
+    if rest:
+        scale = max(Fraction(eps) * max(v for _, _, v in rest) / len(rest), 1)
+        scaled = [v // scale for _, _, v in rest]
+        best = None
+        for mask in range(1 << len(rest)):
+            take = [i for i in range(len(rest)) if mask >> i & 1]
+            weight = sum(rest[i][1] for i in take)
+            key = (sum(scaled[i] for i in take), -weight, -mask)
+            if weight <= q.capacity and (best is None or key > best[0]):
+                best = (key, take)
+        chosen = [rest[i][0] for i in best[1]]
+    position = {g: i for i, g in enumerate(q.items)}
+    subset = frozenset(forced + chosen)
+    return KnapsackSolution(
+        subset=subset,
+        value=sum(q.values[position[g]] for g in subset),
+        weight=sum(q.weights[position[g]] for g in subset),
+    )
+
+
 def best_subset_value_brute(instance: Instance, agent: int, goods) -> int:
     """Maximum value over all budget-feasible subsets (full enumeration)."""
     goods = sorted(goods)

@@ -351,6 +351,11 @@ class TestVerifier:
                 best_fractional_value_brute(inst, a, target)
             )
 
+    @pytest.mark.parametrize("agent", [-1, 2])
+    def test_best_feasible_value_agent_out_of_range(self, agent):
+        with pytest.raises(ValueError, match="agent index"):
+            best_feasible_value(identical_pair(), agent, (Fraction(1),))
+
     def test_witness_on_unfair_split(self):
         inst = identical_pair()
         unfair = FractionalAllocation(((Fraction(1),), (Fraction(0),)))

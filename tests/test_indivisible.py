@@ -105,6 +105,35 @@ class TestMinimalEnviedSubset:
                     assert best_subset_value_brute(inst, a, combo) <= own[a]
 
 
+class TestIndexRanges:
+    """Out-of-range agent and good indices are refused, not wrapped, and an
+    allocation of another shape is refused before any bundle is read."""
+
+    INSTANCE = Instance(2, 3, ((1, 2, 3), (3, 2, 1)), ((1, 1, 1), (1, 1, 1)), (2, 2))
+
+    @pytest.mark.parametrize("agent", [-1, 2])
+    def test_envies_agent(self, agent):
+        with pytest.raises(ValueError, match="agent index"):
+            envies(self.INSTANCE, empty_allocation(self.INSTANCE), agent, frozenset({2}))
+
+    @pytest.mark.parametrize("good", [-1, 3])
+    def test_envies_good(self, good):
+        with pytest.raises(ValueError, match="out of range"):
+            envies(self.INSTANCE, empty_allocation(self.INSTANCE), 0, frozenset({good}))
+
+    @pytest.mark.parametrize("m, n", [(2, 2), (3, 1), (3, 3)])
+    def test_envies_allocation_shape(self, m, n):
+        alloc = IntegralAllocation(m, (frozenset(),) * n)
+        with pytest.raises(ValueError, match="dimensions"):
+            envies(self.INSTANCE, alloc, 0, frozenset({0}))
+
+    @pytest.mark.parametrize("m, n", [(2, 2), (4, 2), (3, 1), (3, 3)])
+    def test_minimal_envied_subset_allocation_shape(self, m, n):
+        alloc = IntegralAllocation(m, (frozenset(),) * n)
+        with pytest.raises(ValueError, match="dimensions"):
+            find_minimal_envied_subset(self.INSTANCE, alloc)
+
+
 class TestComputeFefx:
     def test_zero_size_good_instance(self):
         inst = zero_size_good()

@@ -6,7 +6,7 @@ from fractions import Fraction
 from itertools import product
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from gapfair import (
@@ -16,7 +16,8 @@ from gapfair import (
     kns_exact,
     query_for_agent,
 )
-from oracles import kns_brute
+from oracles import apx_kns_reference, kns_brute
+from test_knapsack_outputs import EPSILONS
 
 
 def query(weights, values, capacity, items=None):
@@ -32,6 +33,16 @@ def queries(draw, max_items=8, max_weight=9, max_value=12, max_capacity=15):
         [draw(st.integers(0, max_value)) for _ in range(k)],
         draw(st.integers(0, max_capacity)),
     )
+
+
+@st.composite
+def labelled_queries(draw, **bounds):
+    """queries() with distinct item labels in any order, so that a label
+    and its position in the query differ."""
+    q = draw(queries(**bounds))
+    k = len(q.items)
+    items = draw(st.lists(st.integers(0, 99), min_size=k, max_size=k, unique=True))
+    return KnapsackQuery(tuple(items), q.weights, q.values, q.capacity)
 
 
 class TestValidation:
@@ -170,6 +181,34 @@ class TestApprox:
         assert sum(q.values[q.items.index(g)] for g in sol.subset) == sol.value
 
 
+class TestIntegerScale:
+    """apx_kns scales in integers exactly as the Fraction formula
+    floor(v / max(eps * v_max / r, 1)) does, and every answer's totals are
+    the sums over its subset."""
+
+    @settings(max_examples=300, deadline=None)
+    @given(labelled_queries(max_value=400), st.sampled_from([*EPSILONS, 1]))
+    @example(query([1, 2, 3], [1, 2, 3], 5), Fraction(1, 2))  # K < 1
+    @example(query([1, 2], [20, 7], 3), Fraction(1, 10))  # K = 1 exactly
+    @example(query([1, 1, 1], [3, 1, 2], 2), 1)  # K = 1 exactly, int eps
+    @example(query([1, 2], [21, 7], 3), Fraction(1, 10))  # K just above 1
+    @example(query([2, 3, 4], [90, 40, 55], 6), Fraction(1, 4))  # K > 1
+    @example(query([0, 5, 1], [0, 9, 0], 4), Fraction(1, 2))  # empty rest
+    @example(query([0, 0, 3], [4, 0, 1], 2), Fraction(1, 20))  # forced only
+    @example(query([0, 0], [4, 6], 0), 1)  # forced only, zero capacity
+    def test_matches_fraction_scale(self, q, eps):
+        assert apx_kns(q, eps) == apx_kns_reference(q, eps)
+
+    @settings(max_examples=200, deadline=None)
+    @given(labelled_queries(max_value=400), st.sampled_from([None, *EPSILONS]))
+    def test_totals_are_sums_over_subset(self, q, eps):
+        sol = kns_exact(q) if eps is None else apx_kns(q, eps)
+        position = {g: i for i, g in enumerate(q.items)}
+        assert sol.value == sum(q.values[position[g]] for g in sol.subset)
+        assert sol.weight == sum(q.weights[position[g]] for g in sol.subset)
+        assert sol.weight <= q.capacity
+
+
 class TestQueryForAgent:
     def test_pulls_agent_rows(self):
         inst = Instance(
@@ -184,3 +223,15 @@ class TestQueryForAgent:
         assert q.weights == (1, 3)
         assert q.values == (1, 6)
         assert q.capacity == 4
+
+    INSTANCE = Instance(2, 3, ((4, 2, 1), (1, 1, 6)), ((2, 1, 1), (1, 2, 3)), (3, 4))
+
+    @pytest.mark.parametrize("agent", [-1, 2])
+    def test_agent_out_of_range(self, agent):
+        with pytest.raises(ValueError, match="agent index"):
+            query_for_agent(self.INSTANCE, agent, [0])
+
+    @pytest.mark.parametrize("goods", [[-1], [0, 3], [-1, 1, 5]])
+    def test_goods_out_of_range(self, goods):
+        with pytest.raises(ValueError, match="out of range"):
+            query_for_agent(self.INSTANCE, 0, goods)
