@@ -20,7 +20,7 @@ import sys
 from fractions import Fraction
 from pathlib import Path
 
-from . import divisible, indivisible, reductions, serialize
+from . import serialize
 from .instance import (
     CHARITY,
     FractionalAllocation,
@@ -28,10 +28,9 @@ from .instance import (
     Instance,
     IntegralAllocation,
     InternalError,
+    LPStructureError,
     ZeroSizeError,
-    augment,
 )
-from .lp import EQ, LPStructureError
 
 EXIT_OK = 0
 EXIT_FAIL = 1
@@ -126,9 +125,19 @@ def _parser() -> argparse.ArgumentParser:
     return parser
 
 
+# Each subcommand imports the solver modules it runs, so a process loads
+# only the pipelines it uses.  Solvers are called as module attributes,
+# looked up at call time.
+
+
 def _cmd_solve_divisible(args) -> int:
+    from . import divisible
+
     instance = serialize.load_instance(args.instance)
     if args.dump_lp:
+        from .instance import augment
+        from .lp import EQ
+
         lp, cols = divisible.build_lp(augment(instance), [1] * instance.n, EQ)
         names = [f"x[{a + 1},{g + 1}]" for a, g in cols]
         print(lp.pretty(names), file=sys.stderr)
@@ -160,7 +169,7 @@ def _print_integral(instance: Instance, allocation: IntegralAllocation) -> None:
     print("charity:", sorted(g + 1 for g in allocation.charity))
 
 
-def _print_swap(rec: indivisible.SwapRecord) -> None:
+def _print_swap(rec) -> None:
     print(
         f"iteration {rec.iteration}: agent {rec.agent + 1} takes "
         f"{sorted(g + 1 for g in rec.goods)}, welfare {rec.welfare}",
@@ -170,6 +179,8 @@ def _print_swap(rec: indivisible.SwapRecord) -> None:
 
 def _cmd_solve_fefx(args) -> int:
     """solve-fefx, and solve-approx-fefx when --eps is given."""
+    from . import indivisible
+
     instance = serialize.load_instance(args.instance)
     trace = _print_swap if args.trace else None
     if args.eps is None:
@@ -203,6 +214,8 @@ def _cmd_verify(args) -> int:
         if not isinstance(allocation, FractionalAllocation):
             print("mode fef needs a fractional allocation", file=sys.stderr)
             return EXIT_BAD_INPUT
+        from . import divisible
+
         witness = divisible.fef_witness(instance, allocation)
         if witness is None:
             print("PASS: feasibly envy-free")
@@ -215,6 +228,8 @@ def _cmd_verify(args) -> int:
     if not isinstance(allocation, IntegralAllocation):
         print(f"mode {args.mode} needs an integral allocation", file=sys.stderr)
         return EXIT_BAD_INPUT
+    from . import indivisible
+
     witness = indivisible.fefx_witness(instance, allocation, args.eps or 0)
     if witness is None:
         print("PASS")
@@ -228,6 +243,8 @@ def _cmd_verify(args) -> int:
 
 
 def _cmd_reduce_knapsack(args) -> int:
+    from . import reductions
+
     kp = serialize.load_knapsack(args.knapsack)
     probe_trace = (
         (lambda mu, parity: print(f"mu={mu}: {parity}", file=sys.stderr))
@@ -240,6 +257,8 @@ def _cmd_reduce_knapsack(args) -> int:
 
 
 def _cmd_fixtures(args) -> int:
+    from . import reductions
+
     fixture = reductions.mnw_fixture()
     out = args.out_dir
     out.mkdir(parents=True, exist_ok=True)

@@ -69,6 +69,15 @@ def _unit_eps(eps) -> Union[int, Fraction]:
     return eps
 
 
+def _envy_test(eps) -> tuple[Optional[Fraction], int, int]:
+    """The FPTAS accuracy eps/2 (None for the exact knapsack at eps = 0)
+    and the factor 1 - eps/2 as integers num/den: for eps = p/q,
+    num = 2q - p and den = 2q, so (1 - eps/2) * value > own is compared
+    as num * value > den * own."""
+    p, q = eps.numerator, eps.denominator
+    return (eps / 2 if p else None), 2 * q - p, 2 * q
+
+
 def envies(
     instance: Instance,
     allocation: IntegralAllocation,
@@ -86,16 +95,18 @@ def envies(
     check_shape(instance, allocation)
     require_agent(instance, agent)
     own = instance.bundle_value(agent, allocation.bundles[agent])
-    return _first_envy(instance, [(agent, own)], target_goods, _unit_eps(eps))
+    test = _envy_test(_unit_eps(eps))
+    return _first_envy(instance, [(agent, own)], target_goods, test)
 
 
-def _first_envy(instance, owns, goods, eps) -> Optional[EnvyWitness]:
-    """First (agent, own value) in `owns` whose agent envies `goods`."""
+def _first_envy(instance, owns, goods, test) -> Optional[EnvyWitness]:
+    """First (agent, own value) in `owns` whose agent envies `goods`, at
+    the accuracy and factors `test` from `_envy_test`."""
+    half, num, den = test
     for agent, own in owns:
         query = query_for_agent(instance, agent, goods)
-        best = kns_exact(query) if eps == 0 else apx_kns(query, eps / 2)
-        # (1 - eps/2) * value > own, without forming eps/2.
-        if (2 - eps) * best.value > 2 * own:
+        best = kns_exact(query) if half is None else apx_kns(query, half)
+        if num * best.value > den * own:
             return EnvyWitness(agent, best.subset, best.value)
     return None
 
@@ -115,16 +126,16 @@ def find_minimal_envied_subset(
     envied), for eps > 0 the FPTAS's budget-feasible trim of it.  Raises
     NotEnviedError when no agent envies the charity in the first place.
     """
-    eps = _unit_eps(eps)
+    test = _envy_test(_unit_eps(eps))
     check_shape(instance, allocation)
     owns = [(a, instance.bundle_value(a, allocation.bundles[a])) for a in range(instance.n)]
-    last = _first_envy(instance, owns, allocation.charity, eps)
+    last = _first_envy(instance, owns, allocation.charity, test)
     if last is None:
         raise NotEnviedError("charity is not envied by any agent")
     t = set(allocation.charity)
     while True:
         for g in sorted(t):
-            hit = _first_envy(instance, owns, frozenset(t - {g}), eps)
+            hit = _first_envy(instance, owns, frozenset(t - {g}), test)
             if hit is not None:
                 break
         else:
@@ -133,18 +144,39 @@ def find_minimal_envied_subset(
         last = hit
 
 
+def _swap_limit(instance: Instance, eps) -> int:
+    """Most swaps `_swap_loop` can make at this eps.
+
+    Each swap leaves the receiving agent with a bundle worth strictly more
+    than r = 1/(1 - eps/2) times her old one, and changes no other bundle.
+    At eps = 0 that is strict growth of social welfare, an integer of at
+    most n * max_a v_a([m]).  At eps = p/q > 0, agent a's first swap gives
+    her a value of at least 1 and each later one multiplies it by more than
+    r, so with V_a = v_a([m]) she takes at most 1 + ceil(ln V_a / ln r)
+    swaps.  In integers: ln r >= eps/2 = p/(2q), and ln V_a < (7/10) b_a,
+    where b_a is the bit length of V_a, so she takes at most
+    1 + ceil(7 b_a q / (5 p)).  The limit is their sum.
+    """
+    if eps == 0:
+        return instance.n * max(sum(row) for row in instance.values) + 1
+    p, q = eps.numerator, eps.denominator
+    return sum(
+        1 - (-7 * sum(row).bit_length() * q // (5 * p)) for row in instance.values
+    )
+
+
 def _swap_loop(instance, eps, trace) -> FefxResult:
     """Grant minimal envied subsets of the charity until nobody envies it.
 
-    Each swap must leave the receiving agent with a bundle worth strictly
-    more than 1/(1 - eps/2) times her old one.  Only her bundle changes,
-    so at eps = 0 this is strict growth of social welfare, and the loop
-    runs at most n * max_a v_a([m]) times.
+    Each swap must pass the growth test of `_swap_limit`, compared in
+    integers as num * new > den * old, and the loop stops with InternalError
+    past that limit.
     """
     n = instance.n
     bundles: list[frozenset[int]] = [frozenset()] * n
     swaps: list[SwapRecord] = []
-    limit = n * max(sum(row) for row in instance.values) + 1
+    limit = _swap_limit(instance, eps)
+    _, num, den = _envy_test(eps)
     while True:
         allocation = IntegralAllocation(instance.m, tuple(bundles))
         try:
@@ -156,7 +188,7 @@ def _swap_loop(instance, eps, trace) -> FefxResult:
         old_value = instance.bundle_value(mes.envier, bundles[mes.envier])
         bundles[mes.envier] = mes.goods
         new_value = instance.bundle_value(mes.envier, mes.goods)
-        if not (2 - eps) * new_value > 2 * old_value:
+        if not num * new_value > den * old_value:
             raise InternalError("bundle update missed its growth guarantee")
         welfare = sum(instance.bundle_value(a, bundles[a]) for a in range(n))
         record = SwapRecord(len(swaps) + 1, mes.envier, mes.goods, welfare)
@@ -186,7 +218,7 @@ def compute_approx_fefx(
 
     Each swap raises the receiving agent's value by a strict factor of
     1/(1 - eps/2), which bounds the per-agent update count
-    logarithmically.
+    logarithmically; the loop checks that bound (`_swap_limit`).
     """
     if not 0 < require_exact("eps", eps) < 1:
         raise ValueError("eps must lie in (0, 1)")

@@ -63,6 +63,10 @@ class InternalError(RuntimeError):
     """
 
 
+class LPStructureError(ValueError):
+    """Malformed program (bad dimensions, bad relation, crossed bounds)."""
+
+
 @dataclass(frozen=True)
 class Instance:
     """A fair-division instance with agent-specific values, sizes and budgets.

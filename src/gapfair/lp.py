@@ -31,7 +31,7 @@ from math import gcd, lcm
 from operator import mul
 from typing import Hashable, Optional
 
-from .instance import InternalError
+from .instance import InternalError, LPStructureError
 
 LE = "<="
 EQ = "="
@@ -41,10 +41,6 @@ _RELATIONS = (LE, EQ)
 _AFTER = 1 << 62
 _EXACT = frozenset((int, Fraction))
 _INT = frozenset((int,))
-
-
-class LPStructureError(ValueError):
-    """Malformed program (bad dimensions, bad relation, crossed bounds)."""
 
 
 @dataclass

@@ -16,8 +16,8 @@ from dataclasses import dataclass
 from fractions import Fraction
 from typing import Callable, Optional
 
-from .indivisible import compute_fefx
-from .instance import FractionalAllocation, Instance
+from .indivisible import compute_fefx, verify_fefx
+from .instance import FractionalAllocation, Instance, InternalError
 from .knapsack import require_knapsack
 
 
@@ -64,9 +64,12 @@ def build_gadget(kp: KnapsackProblem, mu: int) -> Instance:
 
 def parity_probe(kp: KnapsackProblem, mu: int) -> str:
     """Parity ("even" or "odd") of the agent's value in an FEFx allocation
-    of the gadget at mu."""
+    of the gadget at mu.  The allocation is verified first; one that is not
+    FEFx raises InternalError."""
     instance = build_gadget(kp, mu)
     result = compute_fefx(instance)
+    if not verify_fefx(instance, result.allocation):
+        raise InternalError(f"probe at mu={mu}: solver output is not FEFx")
     value = instance.bundle_value(0, result.allocation.bundles[0])
     return "odd" if value % 2 else "even"
 

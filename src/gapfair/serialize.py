@@ -19,7 +19,6 @@ from pathlib import Path
 from typing import Any
 
 from .instance import FractionalAllocation, Instance, IntegralAllocation
-from .reductions import KnapsackProblem
 
 
 class InstanceFormatError(ValueError):
@@ -236,7 +235,10 @@ def load_allocation(
     return allocation, instance, instance_path
 
 
-def load_knapsack(path: str | Path) -> KnapsackProblem:
+def load_knapsack(path: str | Path):
+    """The `KnapsackProblem` in a knapsack file."""
+    from .reductions import KnapsackProblem
+
     path = Path(path)
     doc = _load_json(path)
     if not isinstance(doc, dict):

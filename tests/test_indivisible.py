@@ -385,3 +385,60 @@ class TestOneEpsCheckPerSearch:
         apx = self.counted(monkeypatch, "apx_kns")
         assert len(self.solve(eps).swaps) == 21
         assert (len(exact), len(apx)) == (exact_calls, apx_calls)
+
+
+class TestSwapLimit:
+    """At eps > 0 the swap loop stops at a bound polynomial in 1/eps: per
+    agent, 1 + ceil(7 b q / (5 p)) swaps for eps = p/q, with b the bit
+    length of the agent's total value."""
+
+    # Agent 0's goods total 100 (bit length 7); agent 1 values nothing.
+    INSTANCE = Instance(2, 2, ((60, 40), (0, 0)), ((1, 1), (1, 1)), (2, 2))
+
+    @pytest.mark.parametrize(
+        "eps, limit",
+        # 1/10: 1 + ceil(7*7*10/5) = 99, plus 1; 1/4: 1 + ceil(39.2) = 41, plus 1;
+        # 0: welfare bound n * max_a v_a([m]) + 1 = 2 * 100 + 1.
+        [(Fraction(1, 10), 100), (Fraction(1, 4), 42), (0, 201)],
+        ids=["1/10", "1/4", "exact"],
+    )
+    def test_hand_checked_limit(self, eps, limit):
+        assert indivisible._swap_limit(self.INSTANCE, eps) == limit
+
+    @pytest.mark.parametrize("eps", [Fraction(1, 10), Fraction(1, 4)], ids=str)
+    def test_limit_covers_the_logarithmic_bound(self, eps):
+        # 1 + ceil(log V / log(den/num)) for the one agent with V = 100 > 0,
+        # with the ceiling found exactly: the least t with den^t >= V num^t.
+        num, den = 2 * eps.denominator - eps.numerator, 2 * eps.denominator
+        t = next(t for t in range(1000) if den**t >= 100 * num**t)
+        assert t == {Fraction(1, 10): 90, Fraction(1, 4): 35}[eps]
+        assert indivisible._swap_limit(self.INSTANCE, eps) >= 1 + t
+
+    @pytest.mark.parametrize("seed", range(1, 9))
+    @pytest.mark.parametrize("eps", [Fraction(1, 10), Fraction(1, 4)], ids=str)
+    def test_seeded_runs_stay_within_it(self, seed, eps):
+        inst = gen_random(seed, 3, 8, max_value=100000)
+        swaps = compute_approx_fefx(inst, eps).swaps
+        assert len(swaps) <= indivisible._swap_limit(inst, eps)
+        # The argument per agent: after her first swap each of her c swaps
+        # multiplies her value by more than den/num = 2q / (2q - p), so
+        # (den/num)^(c-1) < V_a.
+        num, den = 2 * eps.denominator - eps.numerator, 2 * eps.denominator
+        for a in range(inst.n):
+            c = sum(1 for rec in swaps if rec.agent == a)
+            if c:
+                assert den ** (c - 1) < sum(inst.values[a]) * num ** (c - 1)
+
+    def test_pinned_runs_stay_within_it(self):
+        from test_swap_sequences import PINNED, pinned_instance
+
+        for seed in PINNED:
+            inst = pinned_instance(seed)
+            for eps in (Fraction(1, 10), Fraction(1, 4)):
+                swaps = compute_approx_fefx(inst, eps).swaps
+                assert len(swaps) <= indivisible._swap_limit(inst, eps)
+
+    def test_loop_stops_at_the_limit(self, monkeypatch):
+        monkeypatch.setattr(indivisible, "_swap_limit", lambda instance, eps: 0)
+        with pytest.raises(InternalError, match="exceeded its bound"):
+            compute_approx_fefx(self.INSTANCE, Fraction(1, 10))

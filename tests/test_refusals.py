@@ -132,3 +132,18 @@ def test_oversized_integer_literal(tmp_path, capsys, argv, text):
     path = tmp_path / "input.json"
     path.write_text(text % LONG_INT)
     expect_bad_input(capsys, [argv[0], path, *argv[1:]], f"{path}: ")
+
+
+def test_unverified_parity_probe_exits_4(tmp_path, monkeypatch, capsys):
+    """A probe allocation that is not FEFx stops the harness: here every
+    probe returns empty bundles, and the gadget's charity is envied."""
+    from gapfair import FefxResult, IntegralAllocation, reductions
+
+    def empty(instance, trace=None):
+        return FefxResult(IntegralAllocation(instance.m, (frozenset(),)), ())
+
+    monkeypatch.setattr(reductions, "compute_fefx", empty)
+    path = tmp_path / "kp.json"
+    path.write_text(json.dumps({"m": 2, "capacity": 3, "weights": [1, 2], "values": [2, 4]}))
+    assert run("reduce-knapsack", path) == EXIT_INTERNAL
+    assert "internal error: probe at mu=0" in capsys.readouterr().err
