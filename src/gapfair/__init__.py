@@ -34,8 +34,8 @@ _PUBLIC = {
     ),
     "lp": ("FeasibilityResult", "LinearProgram", "feasible"),
     "reductions": (
-        "KnapsackProblem", "MnwFixture", "build_gadget", "mnw_fixture",
-        "parity_probe", "solve_knapsack_via_fefx",
+        "MnwFixture", "build_gadget", "mnw_fixture", "parity_probe",
+        "solve_knapsack_via_fefx",
     ),
 }
 _HOME = {name: module for module, names in _PUBLIC.items() for name in names}

@@ -21,6 +21,7 @@ from .instance import (
     InternalError,
     augment,
     check_allocation,
+    check_shape,
     density_ordering,
     require_agent,
     require_ints,
@@ -157,8 +158,7 @@ def check_density_domination(
 ) -> bool:
     """Exact check of the three density-domination condition groups."""
     tau = _check_tau(instance, tau)
-    if allocation.n != instance.n or allocation.m != instance.m:
-        raise ValueError("allocation dimensions do not match the instance")
+    check_shape(instance, allocation)
     sets = internal_edge(instance, tau)
     x = allocation.x
     for a, support in enumerate(sets.support):

@@ -17,27 +17,27 @@ from typing import Iterable
 from .instance import Instance, require_agent, require_exact, require_ints
 
 
-def require_knapsack(weights, values, capacity, count: int) -> None:
-    """Refuse knapsack data other than count nonnegative int weights and
-    values and a nonnegative int capacity."""
-    if len(weights) != count or len(values) != count:
-        raise ValueError("weights/values length mismatch: they must align")
-    require_ints(weights=weights, values=values, capacity=[capacity])
-    if any(w < 0 for w in weights) or any(v < 0 for v in values) or capacity < 0:
-        raise ValueError("weights, values and capacity must be nonnegative")
-
-
 @dataclass(frozen=True)
 class KnapsackQuery:
-    items: tuple[int, ...]  # distinct good indices; ties break by position
+    # Distinct labels, which are good indices in envy queries and 0..m-1
+    # for a knapsack file; ties break by position.
+    items: tuple[int, ...]
     weights: tuple[int, ...]
     values: tuple[int, ...]
     capacity: int
 
     def __post_init__(self) -> None:
-        if len(set(self.items)) != len(self.items):
+        """Refuse duplicate items, and data other than one nonnegative int
+        weight and value per item and a nonnegative int capacity."""
+        weights, values, capacity = self.weights, self.values, self.capacity
+        count = len(self.items)
+        if len(set(self.items)) != count:
             raise ValueError("duplicate items in query")
-        require_knapsack(self.weights, self.values, self.capacity, len(self.items))
+        if len(weights) != count or len(values) != count:
+            raise ValueError("weights/values length mismatch: they must align")
+        require_ints(weights=weights, values=values, capacity=[capacity])
+        if any(w < 0 for w in weights) or any(v < 0 for v in values) or capacity < 0:
+            raise ValueError("weights, values and capacity must be nonnegative")
 
 
 @dataclass(frozen=True)
@@ -129,7 +129,8 @@ def apx_kns(q: KnapsackQuery, eps: Fraction) -> KnapsackSolution:
     items the DP considers (K = 1 makes the run exact); the kernel picks
     the lightest subset reaching the largest scaled total.
     """
-    if not 0 < require_exact("eps", eps) <= 1:
+    require_exact("eps", eps)
+    if not 0 < eps.numerator <= eps.denominator:
         raise ValueError("eps must lie in (0, 1]")
     forced, rest = _split_forced(q)
     scaled = [v for _, _, v in rest]

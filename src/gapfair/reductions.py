@@ -18,32 +18,18 @@ from typing import Callable, Optional
 
 from .indivisible import compute_fefx, verify_fefx
 from .instance import FractionalAllocation, Instance, InternalError
-from .knapsack import require_knapsack
+from .knapsack import KnapsackQuery, _split_forced
 
 
-@dataclass(frozen=True)
-class KnapsackProblem:
-    weights: tuple[int, ...]
-    values: tuple[int, ...]
-    capacity: int
-
-    def __post_init__(self) -> None:
-        object.__setattr__(self, "weights", tuple(self.weights))
-        object.__setattr__(self, "values", tuple(self.values))
-        require_knapsack(self.weights, self.values, self.capacity, len(self.weights))
-
-    @property
-    def item_count(self) -> int:
-        return len(self.weights)
-
-
-def build_gadget(kp: KnapsackProblem, mu: int) -> Instance:
+def build_gadget(kp: KnapsackQuery, mu: int) -> Instance:
     """Single-agent instance with m+2 goods encoding the knapsack.
 
-    Goods 1..m carry the item values/weights; good m+1 has odd value
-    2*mu + 1 and size equal to the capacity; good m+2 has zero value and
-    size capacity + 1, so it can never be assigned.  Item values must be
-    even so that bundle parity identifies whether good m+1 was taken.
+    Goods 1..m carry the item values/weights, by position; good m+1 has
+    odd value 2*mu + 1 and size equal to the capacity; good m+2 has zero
+    value and size capacity + 1, so it can never be assigned.  Item values
+    must be even so that bundle parity identifies whether good m+1 was
+    taken, and item weights positive so that good m+1 fills the budget
+    alone.
     """
     if mu < 0:
         raise ValueError("mu must be nonnegative")
@@ -51,18 +37,20 @@ def build_gadget(kp: KnapsackProblem, mu: int) -> Instance:
         raise ValueError("gadget requires capacity >= 1")
     if any(v % 2 for v in kp.values):
         raise ValueError("gadget requires even item values")
-    values = kp.values + (2 * mu + 1, 0)
-    sizes = kp.weights + (kp.capacity, kp.capacity + 1)
+    if 0 in kp.weights:
+        raise ValueError("gadget requires positive item weights")
+    values = (*kp.values, 2 * mu + 1, 0)
+    sizes = (*kp.weights, kp.capacity, kp.capacity + 1)
     return Instance(
         n=1,
-        m=kp.item_count + 2,
+        m=len(kp.items) + 2,
         values=(values,),
         sizes=(sizes,),
         budgets=(kp.capacity,),
     )
 
 
-def parity_probe(kp: KnapsackProblem, mu: int) -> str:
+def parity_probe(kp: KnapsackQuery, mu: int) -> str:
     """Parity ("even" or "odd") of the agent's value in an FEFx allocation
     of the gadget at mu.  The allocation is verified first; one that is not
     FEFx raises InternalError."""
@@ -75,21 +63,26 @@ def parity_probe(kp: KnapsackProblem, mu: int) -> str:
 
 
 def solve_knapsack_via_fefx(
-    kp: KnapsackProblem,
+    kp: KnapsackQuery,
     probe_trace: Optional[Callable[[int, str], None]] = None,
 ) -> int:
     """Knapsack optimum computed through an FEFx oracle.
 
-    Binary search for the smallest mu with an odd probe; the optimum is
-    2 * mu.  Odd input values are doubled automatically and the result
-    halved on output.
+    Weight-0 items belong to every optimum: their values are added, and
+    the gadget holds only the items the knapsack DP would consider (none
+    left: no probe).  Binary search for the smallest mu with an odd
+    probe; the DP items' optimum is 2 * mu.  Odd values are doubled
+    automatically and the result halved on output.
     """
-    halve = False
-    if any(v % 2 for v in kp.values):
-        kp = KnapsackProblem(
-            kp.weights, tuple(2 * v for v in kp.values), kp.capacity
-        )
-        halve = True
+    forced, rest = _split_forced(kp)
+    base = sum(v for _, _, v in forced)
+    if not rest:
+        return base
+    items, weights, values = zip(*rest)
+    halve = any(v % 2 for v in values)
+    if halve:
+        values = tuple(2 * v for v in values)
+    kp = KnapsackQuery(items, weights, values, kp.capacity)
 
     def probe(mu: int) -> str:
         parity = parity_probe(kp, mu)
@@ -99,15 +92,14 @@ def solve_knapsack_via_fefx(
 
     lo, hi = 0, sum(kp.values)  # probes are even below v*/2, odd at or above
     if probe(lo) == "odd":
-        return 0
+        return base
     while lo + 1 < hi:
         mid = (lo + hi) // 2
         if probe(mid) == "odd":
             hi = mid
         else:
             lo = mid
-    optimum = 2 * hi
-    return optimum // 2 if halve else optimum
+    return base + (hi if halve else 2 * hi)
 
 
 # -- Nash-welfare counterexample ----------------------------------------------

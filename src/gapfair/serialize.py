@@ -236,8 +236,9 @@ def load_allocation(
 
 
 def load_knapsack(path: str | Path):
-    """The `KnapsackProblem` in a knapsack file."""
-    from .reductions import KnapsackProblem
+    """The knapsack in a knapsack file, as a `KnapsackQuery` over the
+    items 0..m-1."""
+    from .knapsack import KnapsackQuery
 
     path = Path(path)
     doc = _load_json(path)
@@ -249,7 +250,8 @@ def load_knapsack(path: str | Path):
         raise InstanceFormatError("field 'capacity': expected an integer")
     m = doc["m"]
     try:
-        return KnapsackProblem(
+        return KnapsackQuery(
+            items=tuple(range(m)),
             weights=tuple(_int_list(doc, "weights", m)),
             values=tuple(_int_list(doc, "values", m)),
             capacity=doc["capacity"],

@@ -35,7 +35,7 @@ from gapfair.cli import gen_random
 from gapfair.instance import IntegralAllocation
 from gapfair.knapsack import KnapsackQuery
 from gapfair.lp import LE, feasible
-from gapfair.reductions import KnapsackProblem, parity_probe
+from gapfair.reductions import parity_probe
 from oracles import (
     best_subset_value_brute,
     fef_integral_exists,
@@ -248,13 +248,13 @@ def test_criterion_8_hardness_harness():
     rng = random.Random(2024)
     for _ in range(20):
         k = rng.randint(1, 8)
-        kp = KnapsackProblem(
+        kp = KnapsackQuery(
+            items=tuple(range(k)),
             weights=tuple(rng.randint(1, 8) for _ in range(k)),
             values=tuple(2 * rng.randint(0, 6) for _ in range(k)),
             capacity=rng.randint(1, 12),
         )
-        q = KnapsackQuery(tuple(range(k)), kp.weights, kp.values, kp.capacity)
-        v_star = kns_exact(q).value
+        v_star = kns_exact(kp).value
         assert solve_knapsack_via_fefx(kp) == v_star
         for mu in range(sum(kp.values) + 1):  # exhaustive parity sweep
             expected = "odd" if mu >= v_star // 2 else "even"

@@ -375,6 +375,21 @@ class TestReduceKnapsack:
         )
         assert run("reduce-knapsack", path) == EXIT_BAD_INPUT
 
+    @pytest.mark.parametrize(
+        "capacity, weights, values, expected",
+        [(12, [0, 2], [2, 14], 16), (0, [0, 0, 1], [3, 4, 5], 7)],
+        ids=["weight-0", "capacity-0"],
+    )
+    def test_weight_0_items_are_added(
+        self, tmp_path, capsys, capacity, weights, values, expected
+    ):
+        path = tmp_path / "kp.json"
+        doc = {"m": len(weights), "capacity": capacity, "weights": weights,
+               "values": values}
+        path.write_text(json.dumps(doc))
+        assert run("reduce-knapsack", path) == EXIT_OK
+        assert f"optimum value: {expected}" in capsys.readouterr().out
+
 
 class TestParserReuse:
     """The argparse tree is built once per process; each call still gets

@@ -60,7 +60,17 @@ class TestValidation:
         with pytest.raises(ValueError):
             query([1], [1], -1)
 
-    @pytest.mark.parametrize("bad", [Fraction(1, 2), 0.5, True, Fraction(1)])
+    def test_refusal_messages(self):
+        with pytest.raises(ValueError, match="mismatch"):
+            query([1, 2], [1], 3)
+        with pytest.raises(ValueError, match="nonnegative"):
+            query([1], [-2], 3)
+        with pytest.raises(ValueError, match="capacity"):
+            query([1], [2], -1)
+
+    @pytest.mark.parametrize(
+        "bad", [Fraction(1, 2), 0.5, True, Fraction(1), Fraction(2)]
+    )
     def test_non_integer_inputs(self, bad):
         with pytest.raises(ValueError, match="weights"):
             query([bad], [1], 2)

@@ -9,7 +9,7 @@ from hypothesis import strategies as st
 
 from gapfair import (
     FractionalAllocation,
-    KnapsackProblem,
+    KnapsackQuery,
     build_gadget,
     divisible_fef,
     fef_witness,
@@ -19,7 +19,6 @@ from gapfair import (
     solve_knapsack_via_fefx,
     verify_fef,
 )
-from gapfair.knapsack import KnapsackQuery
 from gapfair.reductions import MNW_VALUE_SCALE
 
 
@@ -29,46 +28,24 @@ def mnw_closed_form_share(delta: Fraction = Fraction(1, 8)) -> Fraction:
     return delta / (2 * (2 - delta))
 
 
-def optimum(kp: KnapsackProblem) -> int:
-    q = KnapsackQuery(
-        tuple(range(kp.item_count)), kp.weights, kp.values, kp.capacity
-    )
-    return kns_exact(q).value
+def knapsack(weights, values, capacity) -> KnapsackQuery:
+    return KnapsackQuery(tuple(range(len(weights))), weights, values, capacity)
 
 
 @st.composite
 def knapsacks(draw, max_items=6, even_values=True):
     k = draw(st.integers(1, max_items))
     step = 2 if even_values else 1
-    return KnapsackProblem(
-        weights=tuple(draw(st.integers(1, 8)) for _ in range(k)),
+    return knapsack(
+        weights=tuple(draw(st.integers(0, 8)) for _ in range(k)),
         values=tuple(step * draw(st.integers(0, 6)) for _ in range(k)),
-        capacity=draw(st.integers(1, 12)),
+        capacity=draw(st.integers(0, 12)),
     )
-
-
-class TestKnapsackProblem:
-    def test_validation(self):
-        with pytest.raises(ValueError, match="mismatch"):
-            KnapsackProblem((1, 2), (1,), 3)
-        with pytest.raises(ValueError, match="nonnegative"):
-            KnapsackProblem((1,), (-2,), 3)
-        with pytest.raises(ValueError, match="capacity"):
-            KnapsackProblem((1,), (2,), -1)
-
-    @pytest.mark.parametrize("bad", [Fraction(1, 2), 0.5, True, Fraction(2)])
-    def test_non_integer_inputs(self, bad):
-        with pytest.raises(ValueError, match="weights"):
-            KnapsackProblem((bad,), (2,), 3)
-        with pytest.raises(ValueError, match="values"):
-            KnapsackProblem((1,), (bad,), 3)
-        with pytest.raises(ValueError, match="capacity"):
-            KnapsackProblem((1,), (2,), bad)
 
 
 class TestGadget:
     def test_shape(self):
-        kp = KnapsackProblem((2, 3), (4, 6), 5)
+        kp = knapsack((2, 3), (4, 6), 5)
         inst = build_gadget(kp, mu=7)
         assert inst.n == 1 and inst.m == 4
         assert inst.values[0] == (4, 6, 15, 0)
@@ -76,58 +53,66 @@ class TestGadget:
         assert inst.budgets == (5,)
 
     def test_filler_good_never_fits(self):
-        kp = KnapsackProblem((1,), (2,), 3)
+        kp = knapsack((1,), (2,), 3)
         inst = build_gadget(kp, 0)
         assert not inst.is_feasible_bundle(0, {inst.m - 1})
 
     def test_preconditions(self):
         with pytest.raises(ValueError, match="mu"):
-            build_gadget(KnapsackProblem((1,), (2,), 3), -1)
+            build_gadget(knapsack((1,), (2,), 3), -1)
         with pytest.raises(ValueError, match="capacity"):
-            build_gadget(KnapsackProblem((1,), (2,), 0), 1)
+            build_gadget(knapsack((1,), (2,), 0), 1)
         with pytest.raises(ValueError, match="even"):
-            build_gadget(KnapsackProblem((1,), (3,), 3), 1)
+            build_gadget(knapsack((1,), (3,), 3), 1)
+        with pytest.raises(ValueError, match="positive item weights"):
+            build_gadget(knapsack((0, 1), (2, 2), 3), 1)
 
 
 class TestParityProbe:
     def test_flips_exactly_at_half_optimum(self):
-        kp = KnapsackProblem((2, 3, 4), (4, 6, 10), 6)
-        v_star = optimum(kp)  # 14: items of weight 2 and 4
+        kp = knapsack((2, 3, 4), (4, 6, 10), 6)
+        v_star = kns_exact(kp).value  # 14: items of weight 2 and 4
         assert v_star == 14
         for mu in range(v_star // 2 + 3):
             expected = "odd" if mu >= v_star // 2 else "even"
             assert parity_probe(kp, mu) == expected
 
     def test_zero_value_knapsack_is_odd_immediately(self):
-        kp = KnapsackProblem((2,), (0,), 1)
+        kp = knapsack((2,), (0,), 1)
         assert parity_probe(kp, 0) == "odd"
 
 
 class TestReduction:
     def test_hand_example(self):
-        kp = KnapsackProblem((1, 3, 4, 5), (2, 8, 10, 14), 7)
-        assert solve_knapsack_via_fefx(kp) == optimum(kp)
+        kp = knapsack((1, 3, 4, 5), (2, 8, 10, 14), 7)
+        assert solve_knapsack_via_fefx(kp) == kns_exact(kp).value
 
     def test_odd_values_doubled_transparently(self):
-        kp = KnapsackProblem((1, 3, 4, 5), (1, 4, 5, 7), 7)
-        assert solve_knapsack_via_fefx(kp) == optimum(kp) == 9
+        kp = knapsack((1, 3, 4, 5), (1, 4, 5, 7), 7)
+        assert solve_knapsack_via_fefx(kp) == kns_exact(kp).value == 9
 
     def test_worthless_items(self):
-        kp = KnapsackProblem((1, 2), (0, 0), 3)
+        kp = knapsack((1, 2), (0, 0), 3)
         assert solve_knapsack_via_fefx(kp) == 0
 
+    def test_no_probe_without_dp_items(self):
+        seen = []
+        kp = knapsack((0, 5, 2), (3, 4, 0), 4)
+        assert solve_knapsack_via_fefx(kp, probe_trace=lambda *a: seen.append(a)) == 3
+        assert seen == []
+
     def test_probe_trace_is_consistent(self):
-        kp = KnapsackProblem((2, 3), (4, 6), 5)
+        kp = knapsack((2, 3), (4, 6), 5)
         seen = []
         result = solve_knapsack_via_fefx(kp, probe_trace=lambda mu, p: seen.append((mu, p)))
-        assert result == optimum(kp)
+        assert result == kns_exact(kp).value
         for mu, parity in seen:
             assert parity == ("odd" if mu >= result // 2 else "even")
 
     @settings(max_examples=20, deadline=None)
     @given(knapsacks(even_values=False))
     def test_matches_exact_solver(self, kp):
-        assert solve_knapsack_via_fefx(kp) == optimum(kp)
+        assert solve_knapsack_via_fefx(kp) == kns_exact(kp).value
 
 
 class TestMnwFixture:

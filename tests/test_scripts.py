@@ -1,6 +1,7 @@
 """Smoke tests: every script under scripts/ runs to completion."""
 
 import os
+import runpy
 import subprocess
 import sys
 from pathlib import Path
@@ -29,6 +30,17 @@ def test_script_exits_0(argv):
         timeout=60,
     )
     assert proc.returncode == 0, proc.stderr
+
+
+def test_hardness_demo_exits_1_on_a_mismatch(monkeypatch, capsys):
+    import gapfair
+
+    monkeypatch.setattr(gapfair, "solve_knapsack_via_fefx", lambda kp, probe_trace: -1)
+    monkeypatch.setattr(sys, "argv", ["hardness_demo.py", "--items", "3"])
+    with pytest.raises(SystemExit) as exc:
+        runpy.run_path(str(ROOT / "scripts" / "hardness_demo.py"), run_name="__main__")
+    assert exc.value.code == 1
+    assert "matches DP: False" in capsys.readouterr().out
 
 
 def test_paired_bench_against_itself(tmp_path):
