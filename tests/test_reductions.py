@@ -43,6 +43,19 @@ def knapsacks(draw, max_items=6, even_values=True):
     )
 
 
+class TestKnapsackProblem:
+    """The knapsack the harness takes refuses non-integer data."""
+
+    @pytest.mark.parametrize("bad", [Fraction(1, 2), 0.5, True, Fraction(2)])
+    def test_non_integer_inputs(self, bad):
+        with pytest.raises(ValueError, match="weights"):
+            knapsack((bad,), (2,), 3)
+        with pytest.raises(ValueError, match="values"):
+            knapsack((1,), (bad,), 3)
+        with pytest.raises(ValueError, match="capacity"):
+            knapsack((1,), (2,), bad)
+
+
 class TestGadget:
     def test_shape(self):
         kp = knapsack((2, 3), (4, 6), 5)
