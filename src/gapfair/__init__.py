@@ -19,9 +19,9 @@ _PUBLIC = {
         "internal_edge", "verify_fef",
     ),
     "indivisible": (
-        "EnvyWitness", "FefxResult", "MinimalEnviedSet", "NotEnviedError",
-        "compute_approx_fefx", "compute_fefx", "envies", "fefx_witness",
-        "find_minimal_envied_subset", "verify_approx_fefx", "verify_fefx",
+        "EnvyWitness", "FefxResult", "compute_approx_fefx", "compute_fefx",
+        "envies", "fefx_witness", "find_minimal_envied_subset",
+        "verify_approx_fefx", "verify_fefx",
     ),
     "instance": (
         "FractionalAllocation", "InfeasibleAllocationError", "Instance",

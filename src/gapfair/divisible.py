@@ -24,6 +24,7 @@ from .instance import (
     check_shape,
     density_ordering,
     require_agent,
+    require_exact,
     require_ints,
     strip_fictional,
 )
@@ -274,9 +275,15 @@ def best_feasible_value(
 
     Exact bounded fractional knapsack: goods in decreasing density order
     (ties by ascending index), each taken up to the target fraction, with
-    the last good split at the budget boundary.
+    the last good split at the budget boundary.  The target holds one
+    int or Fraction in [0, 1] per good.
     """
     require_agent(instance, agent)
+    if len(target) != instance.m:
+        raise ValueError(f"target: expected {instance.m} entries, got {len(target)}")
+    for t in target:
+        if not 0 <= require_exact("target", t).numerator <= t.denominator:
+            raise ValueError(f"target: entry {t} outside [0, 1]")
     remaining = Fraction(instance.budgets[agent])
     total = Fraction(0)
     for g in density_ordering(instance, agent):

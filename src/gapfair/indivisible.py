@@ -32,21 +32,11 @@ from .knapsack import apx_kns, kns_exact, query_for_agent
 Target = Union[int, str]
 
 
-class NotEnviedError(ValueError):
-    """Minimal-envied-subset search invoked on an unenvied charity."""
-
-
 @dataclass(frozen=True)
 class EnvyWitness:
     agent: int
     subset: frozenset[int]
     value: int
-
-
-@dataclass(frozen=True)
-class MinimalEnviedSet:
-    goods: frozenset[int]
-    envier: int
 
 
 @dataclass(frozen=True)
@@ -115,23 +105,24 @@ def find_minimal_envied_subset(
     instance: Instance,
     allocation: IntegralAllocation,
     eps: Union[int, Fraction] = 0,
-) -> MinimalEnviedSet:
-    """Shrink the charity to a minimal envied set and its envying agent.
+) -> Optional[EnvyWitness]:
+    """Witness of a minimal envied subset of the charity, or None.
 
     While some agent still envies the set minus one good, drop that good
     and remember the agent's witness, rescanning from the first good.
     Envy is tested as in `envies` at the same eps.  The result is the
-    witness subset of the last hit: for eps = 0 that is the whole minimal
+    witness of the last hit: for eps = 0 its subset is the whole minimal
     set (a smaller optimal subset would leave the set minus some good
-    envied), for eps > 0 the FPTAS's budget-feasible trim of it.  Raises
-    NotEnviedError when no agent envies the charity in the first place.
+    envied) and its value is that set's exact value; for eps > 0 the
+    subset is the FPTAS's budget-feasible trim of the set.  None means
+    that no agent envies the charity.
     """
     test = _envy_test(_unit_eps(eps))
     check_shape(instance, allocation)
     owns = [(a, instance.bundle_value(a, allocation.bundles[a])) for a in range(instance.n)]
     last = _first_envy(instance, owns, allocation.charity, test)
     if last is None:
-        raise NotEnviedError("charity is not envied by any agent")
+        return None
     t = set(allocation.charity)
     while True:
         for g in sorted(t):
@@ -139,7 +130,7 @@ def find_minimal_envied_subset(
             if hit is not None:
                 break
         else:
-            return MinimalEnviedSet(last.subset, last.agent)
+            return last
         t.remove(g)
         last = hit
 
@@ -179,19 +170,18 @@ def _swap_loop(instance, eps, trace) -> FefxResult:
     _, num, den = _envy_test(eps)
     while True:
         allocation = IntegralAllocation(instance.m, tuple(bundles))
-        try:
-            mes = find_minimal_envied_subset(instance, allocation, eps)
-        except NotEnviedError:
+        hit = find_minimal_envied_subset(instance, allocation, eps)
+        if hit is None:
             return FefxResult(allocation, tuple(swaps))
         if len(swaps) >= limit:
             raise InternalError("swap loop exceeded its bound")
-        old_value = instance.bundle_value(mes.envier, bundles[mes.envier])
-        bundles[mes.envier] = mes.goods
-        new_value = instance.bundle_value(mes.envier, mes.goods)
+        old_value = instance.bundle_value(hit.agent, bundles[hit.agent])
+        bundles[hit.agent] = hit.subset
+        new_value = instance.bundle_value(hit.agent, hit.subset)
         if not num * new_value > den * old_value:
             raise InternalError("bundle update missed its growth guarantee")
         welfare = sum(instance.bundle_value(a, bundles[a]) for a in range(n))
-        record = SwapRecord(len(swaps) + 1, mes.envier, mes.goods, welfare)
+        record = SwapRecord(len(swaps) + 1, hit.agent, hit.subset, welfare)
         swaps.append(record)
         if trace is not None:
             trace(record)

@@ -83,19 +83,15 @@ def solve_knapsack_via_fefx(
     if halve:
         values = tuple(2 * v for v in values)
     kp = KnapsackQuery(items, weights, values, kp.capacity)
-
-    def probe(mu: int) -> str:
-        parity = parity_probe(kp, mu)
-        if probe_trace is not None:
-            probe_trace(mu, parity)
-        return parity
-
-    lo, hi = 0, sum(kp.values)  # probes are even below v*/2, odd at or above
-    if probe(lo) == "odd":
-        return base
+    # Probes are even below v*/2 and odd at or above.  Every item left has
+    # a positive value and fits the capacity, so v* > 0 and mu = 0 is even.
+    lo, hi = 0, sum(kp.values)
     while lo + 1 < hi:
         mid = (lo + hi) // 2
-        if probe(mid) == "odd":
+        parity = parity_probe(kp, mid)
+        if probe_trace is not None:
+            probe_trace(mid, parity)
+        if parity == "odd":
             hi = mid
         else:
             lo = mid

@@ -11,6 +11,7 @@ so verification cannot silently run against the wrong instance.  Their
 from __future__ import annotations
 
 import hashlib
+import io
 import json
 import os
 import re
@@ -36,10 +37,11 @@ def frac_from_str(s: str) -> Fraction:
     return Fraction(s)
 
 
-def _load_json(path: Path) -> Any:
+def _load_json(path: Path, data: bytes | None = None) -> Any:
+    """The file's JSON document, parsed from `data` if its bytes were read."""
     try:
-        with open(path, encoding="utf-8") as fh:
-            return json.load(fh)
+        data = path.read_bytes() if data is None else data
+        return json.load(io.TextIOWrapper(io.BytesIO(data), encoding="utf-8"))
     except json.JSONDecodeError as exc:
         raise InstanceFormatError(f"{path}: invalid JSON at line {exc.lineno}") from exc
     except UnicodeDecodeError as exc:
@@ -81,7 +83,10 @@ def _int_matrix(doc: Any, field: str, rows: int, cols: int) -> list[list[int]]:
 
 def load_instance(path: str | Path) -> Instance:
     path = Path(path)
-    doc = _load_json(path)
+    return _instance(path, _load_json(path))
+
+
+def _instance(path: Path, doc: Any) -> Instance:
     if not isinstance(doc, dict):
         raise InstanceFormatError(f"{path}: expected a JSON object")
     for field in ("n", "m"):
@@ -176,11 +181,12 @@ def load_allocation(
         instance_path = path.parent / instance_path
     if not instance_path.is_file():
         raise InstanceFormatError(f"referenced instance {instance_path} not found")
-    if instance_hash(instance_path) != doc.get("instance_sha256"):
+    data = instance_path.read_bytes()  # hash-checked and parsed alike
+    if hashlib.sha256(data).hexdigest() != doc.get("instance_sha256"):
         raise InstanceFormatError(
             f"instance {instance_path} does not match the recorded hash"
         )
-    instance = load_instance(instance_path)
+    instance = _instance(instance_path, _load_json(instance_path, data))
     kind = doc.get("type")
     if kind == "fractional":
         raw = doc.get("x")

@@ -356,6 +356,21 @@ class TestVerifier:
         with pytest.raises(ValueError, match="agent index"):
             best_feasible_value(identical_pair(), agent, (Fraction(1),))
 
+    @pytest.mark.parametrize(
+        "target, match",
+        [
+            ((1, 1, 1, 1), "expected 3 entries"),
+            ((Fraction(1),), "expected 3 entries"),
+            ((Fraction(-1), 1, 1), r"outside \[0, 1\]"),
+            ((0.5, 1, 1), "is not an int or Fraction"),
+        ],
+        ids=["long", "short", "negative", "float"],
+    )
+    def test_best_feasible_value_refuses_bad_target(self, target, match):
+        inst = Instance(1, 3, ((3, 2, 1),), ((1, 1, 1),), (2,))
+        with pytest.raises(ValueError, match=f"target: .*{match}"):
+            best_feasible_value(inst, 0, target)
+
     def test_witness_on_unfair_split(self):
         inst = identical_pair()
         unfair = FractionalAllocation(((Fraction(1),), (Fraction(0),)))

@@ -11,12 +11,11 @@ from hypothesis import strategies as st
 from conftest import instances
 from gapfair import indivisible
 from gapfair import (
+    EnvyWitness,
     InfeasibleAllocationError,
     Instance,
     IntegralAllocation,
     InternalError,
-    MinimalEnviedSet,
-    NotEnviedError,
     compute_approx_fefx,
     compute_fefx,
     envies,
@@ -77,32 +76,48 @@ class TestEnvies:
 
 
 class TestMinimalEnviedSubset:
-    def test_unenvied_charity_raises(self):
+    def test_unenvied_charity_gives_none(self):
         inst = Instance(1, 1, ((0,),), ((1,),), (1,))
-        with pytest.raises(NotEnviedError):
-            find_minimal_envied_subset(inst, empty_allocation(inst))
+        assert find_minimal_envied_subset(inst, empty_allocation(inst)) is None
 
     def test_minimal_set_example(self):
         inst = Instance(1, 3, ((2, 3, 4),), ((1, 1, 1),), (2,))
         mes = find_minimal_envied_subset(inst, empty_allocation(inst))
-        assert mes.envier == 0
-        assert inst.is_feasible_bundle(0, mes.goods)
-        assert best_subset_value_brute(inst, 0, mes.goods) > 0
+        assert mes.agent == 0
+        assert inst.is_feasible_bundle(0, mes.subset)
+        assert best_subset_value_brute(inst, 0, mes.subset) > 0
 
     @settings(max_examples=60, deadline=None)
     @given(instances(max_agents=2, max_goods=4, min_size=0))
     def test_no_strict_subset_is_envied(self, inst):
         alloc = empty_allocation(inst)
         own = [0] * inst.n
-        try:
-            mes = find_minimal_envied_subset(inst, alloc)
-        except NotEnviedError:
+        mes = find_minimal_envied_subset(inst, alloc)
+        if mes is None:
             return
-        goods = sorted(mes.goods)
+        goods = sorted(mes.subset)
         for r in range(len(goods)):
             for combo in combinations(goods, r):
                 for a in range(inst.n):
                     assert best_subset_value_brute(inst, a, combo) <= own[a]
+
+    @settings(max_examples=150, deadline=None)
+    @given(
+        instance_with_allocation(), st.booleans(), st.sampled_from([0, Fraction(1, 4)])
+    )
+    def test_witness_agrees_with_envies(self, pair, empty, eps):
+        """None exactly when no agent envies the charity; at eps = 0 the
+        witness is the one `envies` gives for its envier and subset."""
+        inst, alloc = pair
+        if empty:
+            alloc = empty_allocation(inst)
+        mes = find_minimal_envied_subset(inst, alloc, eps)
+        unenvied = all(
+            envies(inst, alloc, a, alloc.charity, eps) is None for a in range(inst.n)
+        )
+        assert (mes is None) == unenvied
+        if mes is not None and eps == 0:
+            assert mes == envies(inst, alloc, mes.agent, mes.subset)
 
 
 class TestIndexRanges:
@@ -160,7 +175,7 @@ class TestComputeFefx:
         monkeypatch.setattr(
             indivisible,
             "find_minimal_envied_subset",
-            lambda instance, allocation, eps: MinimalEnviedSet(frozenset(), 0),
+            lambda instance, allocation, eps: EnvyWitness(0, frozenset(), 0),
         )
         with pytest.raises(InternalError, match="growth"):
             compute_fefx(Instance(1, 1, ((1,),), ((1,),), (1,)))
@@ -314,15 +329,15 @@ class TestApproxPipeline:
             with pytest.raises(ValueError, match="eps"):
                 compute_approx_fefx(inst, eps)
 
-    def test_unenvied_charity_raises(self):
+    def test_unenvied_charity_gives_none(self):
         inst = Instance(1, 1, ((0,),), ((1,),), (1,))
-        with pytest.raises(NotEnviedError):
-            find_minimal_envied_subset(inst, empty_allocation(inst), Fraction(1, 4))
+        mes = find_minimal_envied_subset(inst, empty_allocation(inst), Fraction(1, 4))
+        assert mes is None
 
     def test_trimmed_set_is_feasible_for_envier(self):
         inst = Instance(2, 3, ((6, 4, 2), (2, 6, 4)), ((2, 2, 2), (2, 2, 2)), (3, 3))
         mes = find_minimal_envied_subset(inst, empty_allocation(inst), Fraction(1, 4))
-        assert inst.is_feasible_bundle(mes.envier, mes.goods)
+        assert inst.is_feasible_bundle(mes.agent, mes.subset)
 
     @settings(max_examples=30, deadline=None)
     @given(

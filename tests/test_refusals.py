@@ -146,4 +146,4 @@ def test_unverified_parity_probe_exits_4(tmp_path, monkeypatch, capsys):
     path = tmp_path / "kp.json"
     path.write_text(json.dumps({"m": 2, "capacity": 3, "weights": [1, 2], "values": [2, 4]}))
     assert run("reduce-knapsack", path) == EXIT_INTERNAL
-    assert "internal error: probe at mu=0" in capsys.readouterr().err
+    assert "internal error: probe at mu=3" in capsys.readouterr().err

@@ -1,7 +1,10 @@
 """File-format tests: exact round-trips, hash checking, diagnostics."""
 
+import builtins
+import io
 import json
 from fractions import Fraction
+from pathlib import Path
 
 import pytest
 
@@ -151,6 +154,26 @@ class TestAllocationFiles:
         monkeypatch.chdir(tmp_path)  # resolution is relative to the file
         _, inst, _ = load_allocation(out)
         assert inst == small()
+
+    def test_instance_file_is_read_once(self, tmp_path, monkeypatch):
+        """The bytes whose hash is checked are the bytes that are parsed."""
+        inst_path = tmp_path / "inst.json"
+        dump_instance(small(), inst_path)
+        out = tmp_path / "alloc.json"
+        dump_integral(IntegralAllocation(3, (frozenset(), frozenset())), inst_path, out)
+        reads = []
+        real_open = io.open
+
+        def counting_open(file, *args, **kwargs):
+            if isinstance(file, (str, Path)) and Path(file) == inst_path:
+                reads.append(file)
+            return real_open(file, *args, **kwargs)
+
+        monkeypatch.setattr(io, "open", counting_open)
+        monkeypatch.setattr(builtins, "open", counting_open)
+        _, inst, _ = load_allocation(out)
+        assert inst == small()
+        assert len(reads) == 1
 
 
 class TestKnapsackFiles:
