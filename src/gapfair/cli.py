@@ -24,12 +24,10 @@ from . import serialize
 from .instance import (
     CHARITY,
     FractionalAllocation,
-    InfeasibleAllocationError,
     Instance,
     IntegralAllocation,
     InternalError,
     LPStructureError,
-    ZeroSizeError,
 )
 
 EXIT_OK = 0
@@ -307,7 +305,7 @@ def main(argv=None) -> int:
         # A malformed program here was built by the solver, not the user.
         print(f"internal error: {exc}", file=sys.stderr)
         return EXIT_INTERNAL
-    except (ZeroSizeError, InfeasibleAllocationError, ValueError) as exc:
+    except ValueError as exc:  # ZeroSizeError and InfeasibleAllocationError too
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_PRECONDITION
 

@@ -182,6 +182,7 @@ def density_ordering(instance: Instance, agent: int) -> tuple[int, ...]:
     pi(t) < pi(t+1).  Deterministic; requires the agent's sizes positive.
     Computed at most once per agent and instance.
     """
+    require_agent(instance, agent)  # before the memo, where True is key 1
     memo = instance._orderings
     if agent not in memo:
         memo[agent] = tuple(
@@ -286,9 +287,9 @@ class IntegralAllocation:
 
 
 def require_agent(instance: Instance, agent: int) -> None:
-    """Refuse an agent index outside [0, n), which would otherwise wrap."""
-    if not 0 <= agent < instance.n:
-        raise ValueError(f"agent index {agent} out of range")
+    """Refuse all but an int in [0, n): -1 would wrap, and True run as agent 1."""
+    if type(agent) is not int or not 0 <= agent < instance.n:
+        raise ValueError(f"agent index {agent!r} is not an int in [0, {instance.n})")
 
 
 def check_shape(

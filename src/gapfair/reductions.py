@@ -17,7 +17,7 @@ from fractions import Fraction
 from typing import Callable, Optional
 
 from .indivisible import compute_fefx, verify_fefx
-from .instance import FractionalAllocation, Instance, InternalError
+from .instance import FractionalAllocation, Instance, InternalError, require_ints
 from .knapsack import KnapsackQuery, _split_forced
 
 
@@ -31,6 +31,7 @@ def build_gadget(kp: KnapsackQuery, mu: int) -> Instance:
     taken, and item weights positive so that good m+1 fills the budget
     alone.
     """
+    require_ints(mu=[mu])
     if mu < 0:
         raise ValueError("mu must be nonnegative")
     if kp.capacity < 1:

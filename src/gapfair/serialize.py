@@ -37,11 +37,11 @@ def frac_from_str(s: str) -> Fraction:
     return Fraction(s)
 
 
-def _load_json(path: Path, data: bytes | None = None) -> Any:
-    """The file's JSON document, parsed from `data` if its bytes were read."""
+def _load_json(path: Path, data: bytes | None = None) -> dict:
+    """The file's JSON object, parsed from `data` if its bytes were read."""
     try:
         data = path.read_bytes() if data is None else data
-        return json.load(io.TextIOWrapper(io.BytesIO(data), encoding="utf-8"))
+        doc = json.load(io.TextIOWrapper(io.BytesIO(data), encoding="utf-8"))
     except json.JSONDecodeError as exc:
         raise InstanceFormatError(f"{path}: invalid JSON at line {exc.lineno}") from exc
     except UnicodeDecodeError as exc:
@@ -50,45 +50,39 @@ def _load_json(path: Path, data: bytes | None = None) -> Any:
         raise InstanceFormatError(f"{path}: JSON nested too deeply") from exc
     except ValueError as exc:  # e.g. an integer literal past Python's digit limit
         raise InstanceFormatError(f"{path}: {exc}") from exc
+    if not isinstance(doc, dict):
+        raise InstanceFormatError(f"{path}: expected a JSON object")
+    return doc
 
 
-def _int_list(doc: Any, field: str, length: int) -> list[int]:
+# The shape helpers check only lengths; the entries are checked by the
+# type built from them (Instance or KnapsackQuery).
+
+
+def _list(doc: dict, field: str, length: int) -> list:
     raw = doc.get(field)
     if not isinstance(raw, list) or len(raw) != length:
         raise InstanceFormatError(f"field {field!r}: expected {length} integers")
-    for v in raw:
-        if type(v) is not int:
-            raise InstanceFormatError(f"field {field!r}: non-integer entry {v!r}")
     return raw
 
 
-def _int_matrix(doc: Any, field: str, rows: int, cols: int) -> list[list[int]]:
+def _matrix(doc: dict, field: str, rows: int, cols: int) -> list:
     raw = doc.get(field)
     if not isinstance(raw, list) or len(raw) != rows:
         raise InstanceFormatError(f"field {field!r}: expected {rows} rows")
-    out = []
     for i, row in enumerate(raw):
         if not isinstance(row, list) or len(row) != cols:
             raise InstanceFormatError(
                 f"field {field!r} row {i + 1}: expected {cols} integers"
             )
-        for v in row:
-            if type(v) is not int:
-                raise InstanceFormatError(
-                    f"field {field!r} row {i + 1}: non-integer entry {v!r}"
-                )
-        out.append(row)
-    return out
+    return raw
 
 
 def load_instance(path: str | Path) -> Instance:
-    path = Path(path)
-    return _instance(path, _load_json(path))
+    return _instance(_load_json(Path(path)))
 
 
-def _instance(path: Path, doc: Any) -> Instance:
-    if not isinstance(doc, dict):
-        raise InstanceFormatError(f"{path}: expected a JSON object")
+def _instance(doc: dict) -> Instance:
     for field in ("n", "m"):
         if type(doc.get(field)) is not int or doc[field] < 1:
             raise InstanceFormatError(f"field {field!r}: expected a positive integer")
@@ -97,9 +91,9 @@ def _instance(path: Path, doc: Any) -> Instance:
         return Instance(
             n=n,
             m=m,
-            values=tuple(map(tuple, _int_matrix(doc, "values", n, m))),
-            sizes=tuple(map(tuple, _int_matrix(doc, "sizes", n, m))),
-            budgets=tuple(_int_list(doc, "budgets", n)),
+            values=_matrix(doc, "values", n, m),
+            sizes=_matrix(doc, "sizes", n, m),
+            budgets=_list(doc, "budgets", n),
         )
     except ValueError as exc:
         raise InstanceFormatError(str(exc)) from exc
@@ -172,8 +166,6 @@ def load_allocation(
     """Load an allocation plus the instance it references (hash-checked)."""
     path = Path(path)
     doc = _load_json(path)
-    if not isinstance(doc, dict):
-        raise InstanceFormatError(f"{path}: expected a JSON object")
     if not isinstance(doc.get("instance"), str):
         raise InstanceFormatError("field 'instance': expected a path string")
     instance_path = Path(doc["instance"])
@@ -186,7 +178,7 @@ def load_allocation(
         raise InstanceFormatError(
             f"instance {instance_path} does not match the recorded hash"
         )
-    instance = _instance(instance_path, _load_json(instance_path, data))
+    instance = _instance(_load_json(instance_path, data))
     kind = doc.get("type")
     if kind == "fractional":
         raw = doc.get("x")
@@ -248,19 +240,12 @@ def load_knapsack(path: str | Path):
 
     path = Path(path)
     doc = _load_json(path)
-    if not isinstance(doc, dict):
-        raise InstanceFormatError(f"{path}: expected a JSON object")
     if type(doc.get("m")) is not int or doc["m"] < 1:
         raise InstanceFormatError("field 'm': expected a positive integer")
-    if type(doc.get("capacity")) is not int:
-        raise InstanceFormatError("field 'capacity': expected an integer")
     m = doc["m"]
+    # Shapes first, so that range(m) is built only for lists that long.
+    weights, values = tuple(_list(doc, "weights", m)), tuple(_list(doc, "values", m))
     try:
-        return KnapsackQuery(
-            items=tuple(range(m)),
-            weights=tuple(_int_list(doc, "weights", m)),
-            values=tuple(_int_list(doc, "values", m)),
-            capacity=doc["capacity"],
-        )
+        return KnapsackQuery(tuple(range(m)), weights, values, doc.get("capacity"))
     except ValueError as exc:
         raise InstanceFormatError(str(exc)) from exc

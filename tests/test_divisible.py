@@ -351,7 +351,7 @@ class TestVerifier:
                 best_fractional_value_brute(inst, a, target)
             )
 
-    @pytest.mark.parametrize("agent", [-1, 2])
+    @pytest.mark.parametrize("agent", [-1, 2, True, 1.0])
     def test_best_feasible_value_agent_out_of_range(self, agent):
         with pytest.raises(ValueError, match="agent index"):
             best_feasible_value(identical_pair(), agent, (Fraction(1),))

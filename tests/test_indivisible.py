@@ -126,7 +126,7 @@ class TestIndexRanges:
 
     INSTANCE = Instance(2, 3, ((1, 2, 3), (3, 2, 1)), ((1, 1, 1), (1, 1, 1)), (2, 2))
 
-    @pytest.mark.parametrize("agent", [-1, 2])
+    @pytest.mark.parametrize("agent", [-1, 2, True, 1.0])
     def test_envies_agent(self, agent):
         with pytest.raises(ValueError, match="agent index"):
             envies(self.INSTANCE, empty_allocation(self.INSTANCE), agent, frozenset({2}))

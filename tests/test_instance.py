@@ -124,6 +124,13 @@ class TestDensityOrdering:
                 density_ordering(inst, 0)
             assert density_ordering(inst, 1) == (0, 1)
 
+    @pytest.mark.parametrize("agent", [-1, 1, True])
+    def test_agent_out_of_range(self, agent):
+        """-1 would read the last agent's row, and True the memo's key 1."""
+        inst = Instance(1, 2, ((1, 2),), ((1, 1),), (3,))
+        with pytest.raises(ValueError, match="agent index"):
+            density_ordering(inst, agent)
+
 
 class TestAugment:
     def test_fictional_good(self):

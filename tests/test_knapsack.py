@@ -236,7 +236,7 @@ class TestQueryForAgent:
 
     INSTANCE = Instance(2, 3, ((4, 2, 1), (1, 1, 6)), ((2, 1, 1), (1, 2, 3)), (3, 4))
 
-    @pytest.mark.parametrize("agent", [-1, 2])
+    @pytest.mark.parametrize("agent", [-1, 2, True, 1.0])
     def test_agent_out_of_range(self, agent):
         with pytest.raises(ValueError, match="agent index"):
             query_for_agent(self.INSTANCE, agent, [0])

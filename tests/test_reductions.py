@@ -79,6 +79,10 @@ class TestGadget:
             build_gadget(knapsack((1,), (3,), 3), 1)
         with pytest.raises(ValueError, match="positive item weights"):
             build_gadget(knapsack((0, 1), (2, 2), 3), 1)
+        with pytest.raises(ValueError, match="mu"):
+            build_gadget(knapsack((1,), (2,), 3), 1.5)
+        with pytest.raises(ValueError, match="mu"):
+            parity_probe(knapsack((1,), (2,), 3), True)
 
 
 class TestParityProbe:

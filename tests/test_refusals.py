@@ -66,10 +66,39 @@ def test_allocation_file_shape(inst_path, tmp_path, capsys, solver, mode, edit, 
     [
         ([1, 2], "expected a JSON object"),
         ({"m": 0, "capacity": 1, "weights": [], "values": []}, "field 'm'"),
+        # Refused by the shape check before any item list of length m is built.
+        ({"m": 2**62, "capacity": 1, "weights": [], "values": []}, "field 'weights'"),
     ],
-    ids=["not-an-object", "m-zero"],
+    ids=["not-an-object", "m-zero", "m-past-weights"],
 )
 def test_knapsack_file(tmp_path, capsys, doc, field):
+    path = tmp_path / "kp.json"
+    path.write_text(json.dumps(doc))
+    expect_bad_input(capsys, ["reduce-knapsack", path], field)
+
+
+ENTRIES = [1.5, True, "3", None, [1], {}]
+
+
+@pytest.mark.parametrize("entry", ENTRIES, ids=repr)
+@pytest.mark.parametrize("field", ["values", "sizes", "budgets"])
+def test_instance_entry_not_an_int(tmp_path, capsys, field, entry):
+    doc = {"n": 2, "m": 2, "budgets": [1, 1], "values": [[1, 1]] * 2}
+    doc["sizes"] = doc["values"]  # the field at test is replaced whole
+    if field == "budgets":
+        doc["budgets"] = [1, entry]
+    else:
+        doc[field] = [[1, 1], [1, entry]]
+    path = tmp_path / "inst.json"
+    path.write_text(json.dumps(doc))
+    expect_bad_input(capsys, ["solve-fefx", path], field)
+
+
+@pytest.mark.parametrize("entry", ENTRIES, ids=repr)
+@pytest.mark.parametrize("field", ["weights", "values", "capacity"])
+def test_knapsack_entry_not_an_int(tmp_path, capsys, field, entry):
+    doc = {"m": 2, "capacity": 3, "weights": [1, 2], "values": [2, 4]}
+    doc[field] = entry if field == "capacity" else [1, entry]
     path = tmp_path / "kp.json"
     path.write_text(json.dumps(doc))
     expect_bad_input(capsys, ["reduce-knapsack", path], field)
