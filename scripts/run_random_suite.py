@@ -1,9 +1,10 @@
 #!/usr/bin/env python3
 """Solve a batch of seeded random instances and print summary statistics.
 
-Runs both pipelines on every instance: the divisible solver (threshold
-loop iterations, terminal thresholds) and the indivisible FEFx solver
-(swap counts, welfare, charity size).  Every output is re-verified.
+Runs every pipeline on every instance: the divisible solver (threshold
+loop iterations, terminal thresholds), the indivisible FEFx solver (swap
+counts, welfare, charity size) and the (1-eps)-FEFx solver at eps = 1/10
+(swap counts).  Every output is re-verified.
 
 Example:
     python3 scripts/run_random_suite.py --count 50 --agents 3 --goods 5
@@ -13,9 +14,19 @@ import argparse
 import random
 import sys
 import time
+from fractions import Fraction
 
-from gapfair import compute_fefx, divisible_fef, verify_fef, verify_fefx
+from gapfair import (
+    compute_approx_fefx,
+    compute_fefx,
+    divisible_fef,
+    verify_approx_fefx,
+    verify_fef,
+    verify_fefx,
+)
 from gapfair.cli import gen_random
+
+EPS = Fraction(1, 10)
 
 
 def main() -> None:
@@ -30,6 +41,7 @@ def main() -> None:
     rng = random.Random(args.seed)
     div_iters: list[int] = []
     swap_counts: list[int] = []
+    apx_swap_counts: list[int] = []
     start = time.perf_counter()
     for i in range(args.count):
         n = rng.randint(1, args.agents)
@@ -46,11 +58,16 @@ def main() -> None:
             sys.exit(f"instance {i}: FEFx output failed verify_fefx")
         swap_counts.append(len(fefx.swaps))
 
+        apx = compute_approx_fefx(inst, EPS)
+        if not verify_approx_fefx(inst, apx.allocation, EPS):
+            sys.exit(f"instance {i}: (1-{EPS})-FEFx output failed verify_approx_fefx")
+        apx_swap_counts.append(len(apx.swaps))
+
         if args.verbose:
             print(
                 f"[{i:3d}] n={n} m={m} "
                 f"tau*={div.tau} iters={div.iterations} "
-                f"swaps={len(fefx.swaps)} "
+                f"swaps={len(fefx.swaps)} apx_swaps={len(apx.swaps)} "
                 f"welfare={fefx.allocation.welfare(inst)} "
                 f"charity={sorted(fefx.allocation.charity)}"
             )
@@ -64,6 +81,10 @@ def main() -> None:
     print(
         f"fefx: swaps mean {sum(swap_counts) / len(swap_counts):.2f}, "
         f"max {max(swap_counts)}"
+    )
+    print(
+        f"(1-{EPS})-fefx: swaps mean {sum(apx_swap_counts) / len(apx_swap_counts):.2f}, "
+        f"max {max(apx_swap_counts)}"
     )
 
 

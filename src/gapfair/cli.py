@@ -65,6 +65,8 @@ def gen_random(
 
 def _eps(text: str) -> Fraction:
     try:
+        if "e" in text.lower():  # Fraction would compute 10**exponent
+            raise ValueError(text)
         eps = Fraction(text)
     except (ValueError, ZeroDivisionError) as exc:
         raise argparse.ArgumentTypeError(f"bad rational {text!r}") from exc

@@ -1,11 +1,12 @@
 """FEFx and (1-eps)-FEFx allocation of indivisible goods.
 
 Both solvers run one swap loop: starting from empty bundles, it
-repeatedly swaps a minimal envied subset of the charity into the bundle
-of an agent who envies it.  Envy tests are knapsack queries.  eps is the
-only difference between the pipelines: eps = 0 means exact knapsack
-queries, and eps > 0 means FPTAS queries at accuracy eps/2 with every
-comparison relaxed by the exact rational factor (1 - eps/2).
+repeatedly swaps a minimal envied subset of the charity, found in one
+ascending pass, into the bundle of an agent who envies it.  Envy tests
+are knapsack queries, exact at eps = 0; at eps > 0 they are FPTAS queries
+at accuracy eps/2 with every comparison relaxed by the exact rational
+factor (1 - eps/2), and minimal means that no agent envies the set minus
+any good at factor (1 - eps).
 
 Scan order everywhere is ascending good index, then ascending agent
 index, first hit taken, so runs are reproducible.
@@ -106,16 +107,17 @@ def find_minimal_envied_subset(
     allocation: IntegralAllocation,
     eps: Union[int, Fraction] = 0,
 ) -> Optional[EnvyWitness]:
-    """Witness of a minimal envied subset of the charity, or None.
+    """Witness of a minimal envied subset S of the charity, or None.
 
-    While some agent still envies the set minus one good, drop that good
-    and remember the agent's witness, rescanning from the first good.
-    Envy is tested as in `envies` at the same eps.  The result is the
-    witness of the last hit: for eps = 0 its subset is the whole minimal
-    set (a smaller optimal subset would leave the set minus some good
-    envied) and its value is that set's exact value; for eps > 0 the
-    subset is the FPTAS's budget-feasible trim of the set.  None means
-    that no agent envies the charity.
+    None means that no agent envies the charity.  Otherwise one ascending
+    pass drops each good g while some agent envies t - g, t the goods kept
+    so far (envy as in `envies`), and returns the last hit.  At eps = 0 envy
+    is monotone in the set, so a kept good stays undroppable and the pass
+    drops what a scan restarted after each drop would; the witness is all
+    of S.  At eps > 0 it is the FPTAS's trim of S, and each g in S was kept
+    on some t containing S, where no agent b envied t - g: with o_b her own
+    value, o_b >= (1 - eps/2) apx_b(t - g) >= (1 - eps/2)^2 OPT_b(t - g) >=
+    (1 - eps) OPT_b(Y) for Y within S - g, as `fefx_witness` needs.
     """
     test = _envy_test(_unit_eps(eps))
     check_shape(instance, allocation)
@@ -124,15 +126,12 @@ def find_minimal_envied_subset(
     if last is None:
         return None
     t = set(allocation.charity)
-    while True:
-        for g in sorted(t):
-            hit = _first_envy(instance, owns, frozenset(t - {g}), test)
-            if hit is not None:
-                break
-        else:
-            return last
-        t.remove(g)
-        last = hit
+    for g in sorted(allocation.charity):
+        hit = _first_envy(instance, owns, frozenset(t - {g}), test)
+        if hit is not None:
+            t.remove(g)
+            last = hit
+    return last
 
 
 def _swap_limit(instance: Instance, eps) -> int:
@@ -243,7 +242,7 @@ def _strict_subset_violation(
     if subset == goods:
         subset = goods - {min(goods, key=lambda g: (instance.value(agent, g), g))}
     value = instance.bundle_value(agent, subset)
-    if (1 - eps) * value > own:
+    if (eps.denominator - eps.numerator) * value > eps.denominator * own:
         return FefxViolation(agent, target, own, subset, value)
     return None
 

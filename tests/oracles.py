@@ -250,6 +250,27 @@ def set_is_envied(instance: Instance, own_values, goods) -> bool:
     )
 
 
+def minimal_envied_set_brute(instance: Instance, allocation: IntegralAllocation):
+    """The restart scan for a minimal envied subset of the charity, with
+    envy decided by full enumeration: while some agent envies the set minus
+    a good, drop the lowest such good and scan again from the first.
+    Returns the set and its first envier, or None if no agent envies the
+    charity."""
+    own = [instance.bundle_value(a, allocation.bundles[a]) for a in range(instance.n)]
+    goods = set(allocation.charity)
+    if not set_is_envied(instance, own, goods):
+        return None
+    while True:
+        drop = [g for g in sorted(goods) if set_is_envied(instance, own, goods - {g})]
+        if not drop:
+            break
+        goods.remove(drop[0])
+    agent = next(
+        a for a in range(instance.n) if best_subset_value_brute(instance, a, goods) > own[a]
+    )
+    return frozenset(goods), agent
+
+
 def all_integral_allocations(instance: Instance):
     """Every assignment of goods to agents-or-charity (feasible or not)."""
     for assignment in product(range(instance.n + 1), repeat=instance.m):

@@ -112,6 +112,20 @@ def test_unparsable_eps(inst_path, capsys):
     assert "--eps" in err and "bad rational 'one/ten'" in err
 
 
+@pytest.mark.parametrize(
+    "argv",
+    [["solve-approx-fefx", "inst.json"], ["verify", "alloc.json", "--mode", "apx-fefx"]],
+    ids=["solve-approx-fefx", "verify"],
+)
+def test_eps_exponent_is_refused(capsys, argv):
+    """An exponent is refused before Fraction would compute 10**exponent,
+    which at this size takes far longer than any solve."""
+    with pytest.raises(SystemExit) as exc:
+        run(*argv, "--eps", "1e-999999999")
+    assert exc.value.code == EXIT_BAD_INPUT
+    assert "bad rational '1e-999999999'" in capsys.readouterr().err
+
+
 def test_fefx_mode_on_fractional_allocation(inst_path, tmp_path, capsys):
     out = tmp_path / "alloc.json"
     assert run("solve-divisible", inst_path, "-o", out) == EXIT_OK
