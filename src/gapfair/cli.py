@@ -68,6 +68,7 @@ def _eps(text: str) -> Fraction:
         if "e" in text.lower():  # Fraction would compute 10**exponent
             raise ValueError(text)
         eps = Fraction(text)
+        str(eps)  # printed in the FEFx label; ValueError past the int->str limit
     except (ValueError, ZeroDivisionError) as exc:
         raise argparse.ArgumentTypeError(f"bad rational {text!r}") from exc
     if not 0 < eps < 1:

@@ -123,37 +123,6 @@ def build_lp(
     return lp, cols
 
 
-def _step(instance: Instance, tau, k: int):
-    """LP2(tau) as a step from LP2(tau - e_k), in resume()'s form.
-
-    Agent k's edge good g turns internal and the next good e in its
-    ordering becomes its edge.  The new column x[k,e] enters k's budget row
-    and, if e is supported already, e's supply row; g's supply row turns
-    =; the new rows are the dominance rows on g over k's fellow holders,
-    those on e over k, and e's supply row if e was unsupported, in
-    build_lp's order.
-    """
-    orders = [density_ordering(instance, a) for a in range(instance.n)]
-    g, e = orders[k][tau[k] - 2 : tau[k]]
-    new = (k, e)
-    coeffs = {("budget", k): instance.size(k, e)}
-    rows = []
-    for a, order in enumerate(orders):
-        if a == k:
-            rows += [
-                (("dom", k, b, g), {(b, g): 1, (k, g): -1}, LE, 0)
-                for b in range(instance.n)
-                if b != k and g in orders[b][: tau[b]]
-            ]
-        elif e in order[: tau[a] - 1]:
-            rows.append((("dom", a, k, e), {new: 1, (a, e): -1}, LE, 0))
-    if any(e in order[: tau[a]] for a, order in enumerate(orders) if a != k):
-        coeffs["supply", e] = 1
-    else:
-        rows.append((("supply", e), {new: 1}, LE, 1))
-    return [(new, 0, 1, coeffs)], [("supply", g)], rows
-
-
 def check_density_domination(
     instance: Instance, allocation: FractionalAllocation, tau
 ) -> bool:
@@ -197,9 +166,9 @@ def divisible_fef(
     internal.  The loop runs at most n(m+1) iterations.
 
     LP1(tau) is solved cold: its point is the allocation.  Each trial
-    LP2(tau + e_k) grows the last accepted LP2(tau) by one step (_step), so
-    it resumes from that program's final tableau; an accepted trial's point
-    is checked exactly against build_lp's program.
+    LP2(tau + e_k) is build_lp's program, decided by resume from the final
+    tableau of the last accepted LP2(tau), whose rows and columns it keeps;
+    an accepted trial's point is checked exactly against that program.
     """
     aug = augment(instance)
     n, m = instance.n, instance.m
@@ -209,18 +178,9 @@ def divisible_fef(
     history = [tuple(tau)]
     # LP2 at the initial tau has only <= rows with right-hand sides >= 0,
     # so its all-slack basis is feasible; every later tau is accepted only
-    # once the selection step has found a point of it.  point() checks each
-    # accepted LP2's point exactly against build_lp's program.
+    # once the selection step has found a point of it.
     lp, cols = build_lp(aug, tau, LE)
-    accepted = resume(
-        None,
-        [(key, 0, 1, {}) for key in cols],
-        (),
-        [
-            (c.key, {cols[j]: a for j, a in c.coeffs.items()}, c.relation, c.rhs)
-            for c in lp.constraints
-        ],
-    )
+    accepted = resume(None, lp, cols)
     if accepted is None:
         raise InternalError("the relaxed program at tau = (1, ..., 1) is infeasible")
     accepted.point(lp, cols)
@@ -239,9 +199,10 @@ def divisible_fef(
             if tau[k] == m + 1:
                 continue
             tau[k] += 1
-            trial = resume(accepted, *_step(aug, tau, k))
+            lp, cols = build_lp(aug, tau, LE)
+            trial = resume(accepted, lp, cols)
             if trial is not None:
-                trial.point(*build_lp(aug, tau, LE))
+                trial.point(lp, cols)
                 accepted = trial
                 break
             tau[k] -= 1

@@ -15,12 +15,12 @@ needed: in presolve where a singleton row divides, for the values a row
 added to a warm start is measured at, and for the returned point.  The
 exact self-check of every returned point compares integers.
 
-resume() is the one way into the tableau: it copies the final tableau of
-a program decided before, or starts from the empty one, applies a step
-(new columns with their entries in the existing rows, <= rows turned into
-= rows, new rows) and runs phase 1 from there.  feasible() presolves a
-program and enters with every column and row new; a chain of programs,
-each growing the last, enters one step at a time and is never presolved.
+resume() is the one way into the tableau: it decides a keyed program from
+the final tableau of one it decided before, or from the empty one, by
+applying only what that parent lacks (new columns with their entries in
+its rows, <= rows turned into = rows, new rows) and running phase 1.
+feasible() presolves a program and enters with every column and row new;
+a chain of programs, each growing the last, is never presolved.
 """
 
 from __future__ import annotations
@@ -178,43 +178,61 @@ def feasible(lp: LinearProgram) -> FeasibilityResult:
     presolved = _presolve(rows, lo, up)
     if presolved is None:
         return INFEASIBLE
-    columns = [(j, v, w, {}) for j, (v, w) in enumerate(zip(lo, up))]
-    tableau = resume(None, columns, (), [(None, *row) for row in presolved])
+    program = LinearProgram(lp.var_count, [Constraint(*row) for row in presolved], lo, up)
+    tableau = resume(None, program, range(lp.var_count))
     if tableau is None:
         return INFEASIBLE
     return FeasibilityResult(tableau.point(lp, range(lp.var_count)))
 
 
 def resume(
-    parent: Optional[_Tableau], columns, tighten, rows
+    parent: Optional[_Tableau], lp: LinearProgram, keys
 ) -> Optional[_Tableau]:
-    """Decide the program parent was decided on, grown by one step.
+    """Decide lp, its variable j keyed keys[j] and its rows keyed by
+    Constraint.key, from parent's final tableau.
 
     parent is a tableau that resume() returned, or None for the empty
-    program; it is not changed.  The step, applied in this order:
-    - columns: (key, lower, upper, coeffs) per new column, coeffs being
-      its {row key: coefficient} in parent's rows (lower must then be 0);
-    - tighten: keys of parent's rows that turn from <= into = (an = row
-      stays as it is);
-    - rows: (key, coeffs, relation, rhs) per new row, coeffs keyed by
-      column key.
-    Entries are ints or Fractions and are not validated.  Returns
-    the final tableau when the grown program is feasible, None otherwise.
+    program; it is not changed.  lp keeps every row and column parent
+    holds, with the same entries, except that a <= row may turn into =
+    and a new column, at lower bound 0, may have entries in parent's rows.
+    Applied in this order: the new columns with those entries, the rows
+    parent holds that are now =, the new rows in program order.  A program
+    lacking a row or column key of parent's raises LPStructureError; no
+    entry is validated.  Returns the final tableau when lp is feasible,
+    None otherwise.
     """
     t = _Tableau() if parent is None else parent._copy()
-    for key, lo, up, coeffs in columns:
+    new = [j for j, key in enumerate(keys) if key not in t.cols]
+    entries: dict[int, list] = {}  # new column -> (held row, coefficient)
+    tighten, added = [], []
+    for c in lp.constraints:
+        if (i := t.rows.get(c.key)) is None:
+            added.append(c)
+            continue
+        if c.relation == EQ:
+            tighten.append(i)
+        for j in new:
+            if a := c.coeffs.get(j):
+                entries.setdefault(j, []).append((i, a))
+    if len(keys) - len(new) != len(t.cols) or len(lp.constraints) - len(added) != len(t.rows):
+        raise LPStructureError("the program lacks a row or column of its parent")
+    for j in new:
+        lo, up = lp.lower[j], lp.upper[j]
         t._clear(lcm(lo.denominator, up.denominator))
         q = t.q
         qlo, qup = (v.numerator * (q // v.denominator) for v in (lo, up))
-        col = t.cols[key] = t._add_column(qlo, qup, True)
-        if coeffs:
-            t._enter(col, coeffs)
-    for key in tighten:
-        t._tighten(t.rows[key])
-    row_of = {bv: i for i, bv in enumerate(t.basis)}
-    for key, coeffs, rel, rhs in rows:
-        t.rows[key] = len(t.tab)
-        t._add_row({t.cols[c]: a for c, a in coeffs.items() if a}, rel, rhs, row_of)
+        col = t.cols[keys[j]] = t._add_column(qlo, qup, True)
+        if j in entries:
+            t._enter(col, entries[j])
+    for i in tighten:
+        t._tighten(i)
+    if added:
+        row_of = {bv: i for i, bv in enumerate(t.basis)}
+        col_of = [t.cols[key] for key in keys]
+        for c in added:
+            t.rows[c.key] = len(t.tab)
+            coeffs = {col_of[j]: a for j, a in c.coeffs.items() if a}
+            t._add_row(coeffs, c.relation, c.rhs, row_of)
     if not t.phase1():
         return None
     # An artificial out of the basis never enters again; unless it is a
@@ -303,7 +321,7 @@ class _Tableau:
     def __init__(self, q: int = 1) -> None:
         self.q = q
         self.qlo, self.qup, self.at_upper, self.rank = [], [], [], []  # per column
-        self.tab, self.basis, self.beta, self.unit, self.slack = [], [], [], [], []
+        self.tab, self.basis, self.beta, self.unit = [], [], [], []
         self.artificial, self.rows, self.cols = {}, {}, {}
 
     def _copy(self) -> _Tableau:
@@ -312,7 +330,7 @@ class _Tableau:
         t.rank = list(self.rank)
         t.tab = [dict(row) for row in self.tab]
         t.basis, t.beta = list(self.basis), list(self.beta)
-        t.unit, t.slack = list(self.unit), list(self.slack)
+        t.unit = list(self.unit)
         t.artificial, t.rows = dict(self.artificial), dict(self.rows)
         t.cols = dict(self.cols)
         return t
@@ -380,18 +398,17 @@ class _Tableau:
         self.basis.append(first)
         self.beta.append(beta)
         self.unit.append((slack, s) if slack is not None else (first, sign * s))
-        self.slack.append(slack)
 
-    def _enter(self, col: int, coeffs) -> None:
+    def _enter(self, col: int, entries) -> None:
         """Give the new column col, nonbasic at 0, its entries in the rows.
 
-        coeffs holds col's {row key: coefficient} in the rows as they
-        entered.  Each such row r contributes tab[i][unit] * f * coefficient
-        to row i's entry, with (unit, f) = unit[r].
+        entries holds col's (row r, coefficient) pairs in the rows as they
+        entered.  Each contributes tab[i][unit] * f * coefficient to row
+        i's entry, with (unit, f) = unit[r].
         """
         terms = []
-        for key, a in coeffs.items():
-            unit, f = self.unit[self.rows[key]]
+        for r, a in entries:
+            unit, f = self.unit[r]
             terms.append((unit, f * a))
         for i, row in enumerate(self.tab):
             e = 0
@@ -409,9 +426,10 @@ class _Tableau:
     def _tighten(self, i: int) -> None:
         """Turn row i's <= into = by fixing its slack at 0; an = row is left
         as it is.  If the slack is basic above 0, an artificial with the same
-        column takes its place."""
-        slack = self.slack[i]
-        if slack is None or self.qup[slack] is not None:
+        column takes its place.  Row i's slack is its unit column unless that
+        is an artificial, which is never dropped."""
+        slack = self.unit[i][0]
+        if slack in self.artificial or self.qup[slack] is not None:
             return
         self.qup[slack] = 0
         if slack in self.basis:

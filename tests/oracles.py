@@ -49,9 +49,13 @@ def _point_ok(lp: LinearProgram, point) -> bool:
 
 
 def grow(lp: LinearProgram, cols, step):
-    """lp, its variable j keyed cols[j], grown by a step in lp.resume()'s
-    form, and the keys of its variables: its rows keep their places, new
-    columns get their coefficients in them, and new rows follow."""
+    """lp, its variable j keyed cols[j], grown by step, and the keys of its
+    variables.  step is (columns, tighten, rows): (key, lower, upper,
+    {row key: coefficient}) per new column, the keys of the rows turned
+    into =, and (key, {column key: coefficient}, relation, rhs) per new
+    row.  lp's rows keep their places, new columns get their coefficients
+    in them, and new rows follow: the grown program lp.resume() decides
+    from lp's final tableau."""
     columns, tighten, rows = step
     cols = [*cols, *(key for key, *_ in columns)]
     var = {key: j for j, key in enumerate(cols)}

@@ -7,6 +7,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import gapfair.lp as lp_module
 from conftest import instances
 from gapfair import (
     FractionalAllocation,
@@ -25,7 +26,7 @@ from gapfair import (
 from gapfair import divisible
 from gapfair.cli import gen_random
 from gapfair.lp import EQ, LE, feasible
-from oracles import best_fractional_value_brute, grow
+from oracles import best_fractional_value_brute
 
 
 def identical_pair():
@@ -154,28 +155,23 @@ class TestSolver:
         # Decided programs: LP1 through feasible, trials through resume
         # with a parent (the chain root has none).
         taus, calls = [], []
-        real_build, real_step = divisible.build_lp, divisible._step
+        real_build = divisible.build_lp
         real_feasible, real_resume = divisible.feasible, divisible.resume
 
         def recording_build(instance, tau, budget_relation):
             taus.append(tuple(tau))
             return real_build(instance, tau, budget_relation)
 
-        def recording_step(instance, tau, k):
-            taus.append(tuple(tau))
-            return real_step(instance, tau, k)
-
         def counting_feasible(lp):
             calls.append(lp)
             return real_feasible(lp)
 
-        def counting_resume(parent, *step):
+        def counting_resume(parent, lp, keys):
             if parent is not None:
-                calls.append(step)
-            return real_resume(parent, *step)
+                calls.append(lp)
+            return real_resume(parent, lp, keys)
 
         monkeypatch.setattr(divisible, "build_lp", recording_build)
-        monkeypatch.setattr(divisible, "_step", recording_step)
         monkeypatch.setattr(divisible, "feasible", counting_feasible)
         monkeypatch.setattr(divisible, "resume", counting_resume)
         inst = gen_random(7, 3, 6)
@@ -184,19 +180,23 @@ class TestSolver:
         assert len(calls) == 38
 
     def test_an_accepted_trial_is_checked_against_build_lp(self, monkeypatch):
-        # LP2 programs past the root get a row no point satisfies, so the
-        # first accepted trial's point fails the exact check.
-        real_build = divisible.build_lp
+        # Every exact check after the root's fails, so the first accepted
+        # trial's point is refused; LP1 is infeasible at that tau and asks
+        # no check.
+        real_satisfies = lp_module._satisfies
+        checked = []
 
-        def strict_build(instance, tau, budget_relation):
-            lp, cols = real_build(instance, tau, budget_relation)
-            if budget_relation == LE and any(t > 1 for t in tau):
-                lp.add({0: 1}, LE, -1)
-            return lp, cols
+        def failing_after_root(lp, point):
+            checked.append(lp)
+            return len(checked) == 1 and real_satisfies(lp, point)
 
-        monkeypatch.setattr(divisible, "build_lp", strict_build)
+        monkeypatch.setattr(lp_module, "_satisfies", failing_after_root)
+        inst = gen_random(7, 3, 6)
         with pytest.raises(InternalError, match="infeasible point"):
-            divisible_fef(gen_random(7, 3, 6))
+            divisible_fef(inst)
+        aug = augment(inst)
+        root, trial = (build_lp(aug, tau, LE)[0] for tau in [(1, 1, 1), (2, 1, 1)])
+        assert checked == [root, trial]
 
     def test_density_orderings_computed_once_per_instance(self, monkeypatch):
         calls = []
@@ -255,19 +255,13 @@ class TestSelectionReplay:
                     assert not feasible(build_lp(aug, trial, LE)[0]).feasible
 
 
-def _keyed_rows(lp, cols):
-    """lp's rows as (key, coefficients by column key, relation, rhs)."""
-    return [
-        (c.key, {cols[j]: a for j, a in c.coeffs.items()}, c.relation, c.rhs)
-        for c in lp.constraints
-    ]
-
-
 class TestStepsGrowBuildLp:
-    """divisible_fef grows each trial program from its parent by _step,
-    not by build_lp: the step applied to build_lp(tau - e_k)'s program
-    must give build_lp(tau)'s, with the new rows in build_lp's order.
-    Checked for every trial the solver may make along its tau path."""
+    """Each threshold step tau -> tau + e_k grows build_lp's program, which
+    is what lets divisible_fef decide the trial LP2(tau + e_k) by resume
+    from the final tableau of LP2(tau): the trial keeps every row and
+    column of LP2(tau) with its entries, turns rows only from <= into =,
+    and adds columns only at lower bound 0.  Checked for every trial the
+    solver may make along its tau path."""
 
     @pytest.mark.parametrize(
         "seed, n, m", [*((s, 3, 5) for s in range(1, 21)), (1, 5, 12), (3, 5, 12)]
@@ -281,23 +275,23 @@ class TestStepsGrowBuildLp:
                 if tau[k] == m + 1:
                     continue
                 after = tau[:k] + (tau[k] + 1,) + tau[k + 1 :]
-                step = divisible._step(aug, after, k)
-                grown, grown_cols = grow(parent, cols, step)
                 lp, lp_cols = build_lp(aug, after, LE)
-                rows = _keyed_rows(lp, lp_cols)
-                assert len({key for key, *_ in rows}) == len(rows)
-                # Row by row and key by key, in build_lp's order.
-                by_key = {row[0]: row for row in _keyed_rows(grown, grown_cols)}
-                assert [by_key[key] for key, *_ in rows] == rows
-                assert len(by_key) == len(rows)
-                new = {key for key, *_ in step[2]}
-                assert [key for key, *_ in step[2]] == [
-                    key for key, *_ in rows if key in new
+                var = {key: j for j, key in enumerate(lp_cols)}
+                rows = {c.key: c for c in lp.constraints}
+                assert len(rows) == len(lp.constraints)
+                assert set(cols) <= var.keys()
+                assert [(lp.lower[var[key]], lp.upper[var[key]]) for key in cols] == [
+                    *zip(parent.lower, parent.upper)
                 ]
-                bounds = dict(zip(grown_cols, zip(grown.lower, grown.upper)))
-                assert [bounds[key] for key in lp_cols] == list(
-                    zip(lp.lower, lp.upper)
-                )
+                assert all(lp.lower[var[key]] == 0 for key in var.keys() - set(cols))
+                for c in parent.constraints:
+                    assert c.key in rows
+                    kept = rows[c.key]
+                    assert kept.rhs == c.rhs
+                    assert kept.relation in (c.relation, EQ)
+                    assert [kept.coeffs.get(var[key], 0) for key in cols] == [
+                        c.coeffs.get(j, 0) for j in range(len(cols))
+                    ]
 
 
 class TestDominationCheck:

@@ -348,35 +348,32 @@ def keyed(var_count, rows, upper=None):
     return prog, [("x", j) for j in range(var_count)]
 
 
-def from_empty(prog, cols):
-    """The step of resume() that grows the empty program into prog."""
-    return (
-        [(key, lo, up, {}) for key, lo, up in zip(cols, prog.lower, prog.upper)],
-        (),
-        [
-            (c.key, {cols[j]: a for j, a in c.coeffs.items()}, c.relation, c.rhs)
-            for c in prog.constraints
-        ],
-    )
-
-
 class TestWarmStart:
     def test_all_slack_start_makes_no_pivot(self, monkeypatch):
         pivots = []
         monkeypatch.setattr(lp_module, "_pivot", lambda *args: pivots.append(args))
         prog, cols = keyed(2, [({0: 1, 1: 2}, LE, 3), ({1: 1}, LE, 0)])
-        assert resume(None, *from_empty(prog, cols)) is not None
+        assert resume(None, prog, cols) is not None
         assert pivots == []
 
     def test_resume_leaves_the_parent_alone(self):
         prog, cols = keyed(2, [({0: 1, 1: 1}, LE, 1)])
-        parent = resume(None, *from_empty(prog, cols))
+        parent = resume(None, prog, cols)
         tab = [dict(row) for row in parent.tab]
         step = [], [("r", 0)], [(("r", 1), {("x", 0): -1}, LE, Fraction(-1, 2))]
         tight, _ = grow(prog, cols, step)
-        assert resume(parent, *step).point(tight, cols) == (HALF, HALF)
+        assert resume(parent, tight, cols).point(tight, cols) == (HALF, HALF)
         assert parent.tab == tab
-        assert resume(parent, *step) is not None
+        assert resume(parent, tight, cols) is not None
+
+    def test_resume_refuses_a_program_lacking_a_parent_row_or_column(self):
+        prog, cols = keyed(2, [({0: 1, 1: 1}, LE, 1)])
+        parent = resume(None, prog, cols)
+        rowless, _ = keyed(2, [])
+        with pytest.raises(LPStructureError, match="lacks a row or column"):
+            resume(parent, rowless, cols)
+        with pytest.raises(LPStructureError, match="lacks a row or column"):
+            resume(parent, prog, [("x", 0), ("y", 1)])
 
     @pytest.mark.parametrize(
         "upper, rows, grown_rows",
@@ -404,14 +401,10 @@ class TestWarmStart:
         ],
     )
     def test_fractional_entries_keep_rows_integral(self, upper, rows, grown_rows):
-        parent = resume(None, *from_empty(*keyed(2, rows, upper[:2])))
+        parent = resume(None, *keyed(2, rows, upper[:2]))
+        # x2 enters the old rows, some of which turn =, and new rows follow.
         grown, cols = keyed(3, grown_rows, upper)
-        # The step: x2's entries in the old rows, those turned =, new rows.
-        old = list(enumerate(grown_rows[: len(rows)]))
-        entries = {("r", i): c[2] for i, (c, _, _) in old if 2 in c}
-        tighten = [("r", i) for i, (_, rel, _) in old if rel == EQ]
-        added = from_empty(grown, cols)[2][len(rows) :]
-        state = resume(parent, [(("x", 2), 0, upper[2], entries)], tighten, added)
+        state = resume(parent, grown, cols)
         assert (state is not None) == lp_feasible_brute(grown)
         if state is not None:
             assert _point_ok(grown, state.point(grown, cols))
@@ -423,9 +416,10 @@ entry = st.builds(Fraction, st.integers(-2, 3), st.sampled_from([1, 1, 2, 3]))
 
 @st.composite
 def keyed_chains(draw):
-    """A keyed program and a step that grows it the way a threshold trial
-    grows its parent: a new column x_k entering some rows, one <= row
-    turned into =, and new <= rows that may hold x_k."""
+    """A keyed program and a step, in oracles.grow's form, that grows it
+    the way a threshold trial grows its parent: a new column x_k entering
+    some rows, one <= row turned into =, and new <= rows that may hold
+    x_k."""
     k = draw(st.integers(1, 3))
     upper = [draw(st.sampled_from([1, 2, Fraction(1, 2)])) for _ in range(k + 1)]
     rows = []
@@ -448,12 +442,12 @@ class TestWarmStartAgainstVertexOracle:
     @given(keyed_chains())
     def test_resume_matches_brute_force(self, chain):
         (base, cols), step = chain
-        parent = resume(None, *from_empty(base, cols))
+        parent = resume(None, base, cols)
         assert (parent is not None) == lp_feasible_brute(base)
         if parent is None:
             return
         grown, grown_cols = grow(base, cols, step)
-        state = resume(parent, *step)
+        state = resume(parent, grown, grown_cols)
         assert (state is not None) == lp_feasible_brute(grown)
         if state is not None:
             assert _point_ok(grown, state.point(grown, grown_cols))

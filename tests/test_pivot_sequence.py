@@ -10,8 +10,8 @@ ratio test's tie-break read only the signs and order of exact values.
 The "divisible" and "lp-outputs" groups pin cold solves, through
 feasible(); in divisible_fef those are the LP1 programs.  The "warm"
 group pins the pivots of the threshold trials, which divisible_fef
-decides through lp.resume() from the last accepted tableau, grown by one
-step; their count is also bounded against the cold solves they replace.
+decides through lp.resume(), each from the last accepted tableau; their
+count is also bounded against the cold solves they replace.
 """
 
 import hashlib

@@ -126,6 +126,27 @@ def test_eps_exponent_is_refused(capsys, argv):
     assert "bad rational '1e-999999999'" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize(
+    "argv",
+    [["solve-approx-fefx", "inst.json"], ["verify", "alloc.json", "--mode", "apx-fefx"]],
+    ids=["solve-approx-fefx", "verify"],
+)
+def test_eps_past_the_int_str_limit_is_refused(capsys, argv):
+    """A decimal eps with 4300 fractional digits parses, but its
+    denominator has 4301, which str() refuses at Python's default limit;
+    the (1-eps)-FEFx label prints it after the solve."""
+    text = "0." + "0" * 4299 + "1"
+    limit = sys.get_int_max_str_digits()
+    sys.set_int_max_str_digits(4300)
+    try:
+        with pytest.raises(SystemExit) as exc:
+            run(*argv, "--eps", text)
+    finally:
+        sys.set_int_max_str_digits(limit)
+    assert exc.value.code == EXIT_BAD_INPUT
+    assert f"bad rational {text!r}" in capsys.readouterr().err
+
+
 def test_fefx_mode_on_fractional_allocation(inst_path, tmp_path, capsys):
     out = tmp_path / "alloc.json"
     assert run("solve-divisible", inst_path, "-o", out) == EXIT_OK
