@@ -131,6 +131,30 @@ def _parser() -> argparse.ArgumentParser:
 # looked up at call time.
 
 
+def _target_label(target) -> str:
+    return CHARITY if target == CHARITY else f"agent {target + 1}"
+
+
+def _violation(instance: Instance, allocation, eps=None) -> str | None:
+    """The verifier's witness, 1-based, as `verify` prints it after "FAIL: ";
+    None if FEF (fractional) or FEFx at factor 1 - eps (integral) holds."""
+    if isinstance(allocation, FractionalAllocation):
+        from . import divisible
+
+        w = divisible.fef_witness(instance, allocation)
+        return w and (
+            f"agent {w.agent + 1} envies {_target_label(w.target)} "
+            f"(own value {w.own_value}, attainable {w.best_value})"
+        )
+    from . import indivisible
+
+    w = indivisible.fefx_witness(instance, allocation, eps or 0)
+    return w and (
+        f"agent {w.agent + 1} envies subset {sorted(g + 1 for g in w.subset)} of "
+        f"{_target_label(w.target)} (own value {w.own_value}, subset value {w.subset_value})"
+    )
+
+
 def _cmd_solve_divisible(args) -> int:
     from . import divisible
 
@@ -148,9 +172,9 @@ def _cmd_solve_divisible(args) -> int:
         else None
     )
     result = divisible.divisible_fef(instance, trace=trace)
-    if not divisible.verify_fef(instance, result.allocation):
-        print("internal error: solver output failed verification", file=sys.stderr)
-        return EXIT_INTERNAL
+    violation = _violation(instance, result.allocation)
+    if violation:  # main prints it after "internal error: " and exits 4
+        raise InternalError(f"solver output failed verification: {violation}")
     if args.output:
         serialize.dump_fractional(result.allocation, args.instance, args.output)
     print(f"tau* = {result.tau}, iterations = {result.iterations}")
@@ -186,15 +210,13 @@ def _cmd_solve_fefx(args) -> int:
     trace = _print_swap if args.trace else None
     if args.eps is None:
         result = indivisible.compute_fefx(instance, trace=trace)
-        verified = indivisible.verify_fefx(instance, result.allocation)
         label = "FEFx"
     else:
         result = indivisible.compute_approx_fefx(instance, args.eps, trace=trace)
-        verified = indivisible.verify_approx_fefx(instance, result.allocation, args.eps)
         label = f"(1-{args.eps})-FEFx"
-    if not verified:
-        print("internal error: solver output failed verification", file=sys.stderr)
-        return EXIT_INTERNAL
+    violation = _violation(instance, result.allocation, args.eps)
+    if violation:  # main prints it after "internal error: " and exits 4
+        raise InternalError(f"solver output failed verification: {violation}")
     if args.output:
         serialize.dump_integral(result.allocation, args.instance, args.output)
     _print_integral(instance, result.allocation)
@@ -202,45 +224,22 @@ def _cmd_solve_fefx(args) -> int:
     return EXIT_OK
 
 
-def _target_label(target) -> str:
-    return CHARITY if target == CHARITY else f"agent {target + 1}"
-
-
 def _cmd_verify(args) -> int:
     if (args.eps is None) == (args.mode == "apx-fefx"):
         print("--eps is for --mode apx-fefx, which requires it", file=sys.stderr)
         return EXIT_BAD_INPUT
     allocation, instance, _ = serialize.load_allocation(args.allocation)
-    if args.mode == "fef":
-        if not isinstance(allocation, FractionalAllocation):
-            print("mode fef needs a fractional allocation", file=sys.stderr)
-            return EXIT_BAD_INPUT
-        from . import divisible
-
-        witness = divisible.fef_witness(instance, allocation)
-        if witness is None:
-            print("PASS: feasibly envy-free")
-            return EXIT_OK
-        print(
-            f"FAIL: agent {witness.agent + 1} envies {_target_label(witness.target)} "
-            f"(own value {witness.own_value}, attainable {witness.best_value})"
-        )
-        return EXIT_FAIL
-    if not isinstance(allocation, IntegralAllocation):
-        print(f"mode {args.mode} needs an integral allocation", file=sys.stderr)
+    fef = args.mode == "fef"
+    if isinstance(allocation, FractionalAllocation) != fef:
+        kind = "a fractional" if fef else "an integral"
+        print(f"mode {args.mode} needs {kind} allocation", file=sys.stderr)
         return EXIT_BAD_INPUT
-    from . import indivisible
-
-    witness = indivisible.fefx_witness(instance, allocation, args.eps or 0)
-    if witness is None:
-        print("PASS")
-        return EXIT_OK
-    print(
-        f"FAIL: agent {witness.agent + 1} envies subset "
-        f"{sorted(g + 1 for g in witness.subset)} of {_target_label(witness.target)} "
-        f"(own value {witness.own_value}, subset value {witness.subset_value})"
-    )
-    return EXIT_FAIL
+    violation = _violation(instance, allocation, args.eps)
+    if violation:
+        print(f"FAIL: {violation}")
+        return EXIT_FAIL
+    print("PASS: feasibly envy-free" if fef else "PASS")
+    return EXIT_OK
 
 
 def _cmd_reduce_knapsack(args) -> int:

@@ -51,7 +51,12 @@ class InternalEdgeSets:
         )
 
 
-def _check_tau(instance: Instance, tau) -> tuple[int, ...]:
+def internal_edge(instance: Instance, tau) -> InternalEdgeSets:
+    """Internal/edge sets for a threshold vector over the augmented goods.
+
+    tau_a = 1 means no internal goods; tau_a = m+2 means every good is
+    internal and the edge set is empty.
+    """
     tau = tuple(tau)
     require_ints(threshold=tau)
     if len(tau) != instance.n:
@@ -60,16 +65,6 @@ def _check_tau(instance: Instance, tau) -> tuple[int, ...]:
     for t in tau:
         if not 1 <= t <= top:
             raise ValueError(f"threshold {t} outside [1, {top}]")
-    return tau
-
-
-def internal_edge(instance: Instance, tau) -> InternalEdgeSets:
-    """Internal/edge sets for a threshold vector over the augmented goods.
-
-    tau_a = 1 means no internal goods; tau_a = m+2 means every good is
-    internal and the edge set is empty.
-    """
-    tau = _check_tau(instance, tau)
     internal = []
     edge: list[Optional[int]] = []
     for a in range(instance.n):
@@ -127,9 +122,8 @@ def check_density_domination(
     instance: Instance, allocation: FractionalAllocation, tau
 ) -> bool:
     """Exact check of the three density-domination condition groups."""
-    tau = _check_tau(instance, tau)
+    sets = internal_edge(instance, tau)  # checks tau
     check_shape(instance, allocation)
-    sets = internal_edge(instance, tau)
     x = allocation.x
     for a, support in enumerate(sets.support):
         for g in sets.internal[a]:
@@ -174,8 +168,7 @@ def divisible_fef(
     n, m = instance.n, instance.m
     tau = [1] * n
     limit = n * (m + 1)
-    iterations = 0
-    history = [tuple(tau)]
+    history = [tuple(tau)]  # one entry per iteration after the first
     # LP2 at the initial tau has only <= rows with right-hand sides >= 0,
     # so its all-slack basis is feasible; every later tau is accepted only
     # once the selection step has found a point of it.
@@ -189,8 +182,7 @@ def divisible_fef(
         result = feasible(lp)
         if result.feasible:
             break
-        iterations += 1
-        if iterations > limit:
+        if len(history) > limit:
             raise InternalError("threshold loop exceeded its n(m+1) bound")
         for k in range(n):
             # LP2 at tau_k = m+2 needs sum_a x[a,f] = 1 for the fictional
@@ -212,7 +204,7 @@ def divisible_fef(
             )
         history.append(tuple(tau))
         if trace is not None:
-            trace(iterations, tuple(tau))
+            trace(len(history) - 1, tuple(tau))
 
     x = [[Fraction(0)] * aug.m for _ in range(n)]
     for (a, g), v in zip(cols, result.assignment):
@@ -224,7 +216,7 @@ def divisible_fef(
         allocation=strip_fictional(augmented),
         augmented_allocation=augmented,
         tau=tuple(tau),
-        iterations=iterations,
+        iterations=len(history) - 1,
         tau_history=tuple(history),
     )
 

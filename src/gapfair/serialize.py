@@ -32,9 +32,12 @@ def frac_to_str(f: Fraction) -> str:
 
 def frac_from_str(s: str) -> Fraction:
     """Inverse of frac_to_str: only "p/q" with an optional '-' is read."""
-    if not isinstance(s, str) or not re.fullmatch(r"-?[0-9]+/[0-9]*[1-9][0-9]*", s):
-        raise InstanceFormatError(f"bad rational {s!r}, expected a \"p/q\" string")
-    return Fraction(s)
+    try:
+        if not isinstance(s, str) or not re.fullmatch(r"-?[0-9]+/[0-9]*[1-9][0-9]*", s):
+            raise ValueError(s)
+        return Fraction(s)  # ValueError past Python's int->str digit limit
+    except ValueError as exc:
+        raise InstanceFormatError(f"bad rational {s!r}, expected a \"p/q\" string") from exc
 
 
 def _load_json(path: Path, data: bytes | None = None) -> dict:

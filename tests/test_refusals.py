@@ -3,11 +3,13 @@ gets its exit code, and the message names the field at fault."""
 
 import json
 import sys
+from fractions import Fraction
 
 import pytest
 
 from gapfair import divisible, indivisible
 from gapfair.cli import EXIT_BAD_INPUT, EXIT_INTERNAL, EXIT_OK
+from gapfair.instance import CHARITY
 from test_cli import inst_path, run  # noqa: F401 (inst_path is a fixture)
 
 
@@ -157,20 +159,37 @@ def test_fefx_mode_on_fractional_allocation(inst_path, tmp_path, capsys):
     )
 
 
+FEF_VIOLATION = divisible.FefViolation(1, CHARITY, Fraction(0), Fraction(1))
+FEFX_VIOLATION = indivisible.FefxViolation(1, CHARITY, 0, frozenset({0}), 1)
+
+
 @pytest.mark.parametrize(
-    "solver, module, verifier",
+    "argv, module, witness, violation, eps",
     [
-        ("solve-divisible", divisible, "verify_fef"),
-        ("solve-fefx", indivisible, "verify_fefx"),
+        (["solve-divisible"], divisible, "fef_witness", FEF_VIOLATION, ()),
+        (["solve-fefx"], indivisible, "fefx_witness", FEFX_VIOLATION, (0,)),
+        (
+            ["solve-approx-fefx", "--eps", "1/2"],
+            indivisible,
+            "fefx_witness",
+            FEFX_VIOLATION,
+            (Fraction(1, 2),),
+        ),
     ],
+    ids=["solve-divisible", "solve-fefx", "solve-approx-fefx"],
 )
 def test_failed_reverification_exits_4(
-    inst_path, tmp_path, monkeypatch, capsys, solver, module, verifier
+    inst_path, tmp_path, monkeypatch, capsys, argv, module, witness, violation, eps
 ):
-    monkeypatch.setattr(module, verifier, lambda *args: False)
+    """A solver output its verifier rejects exits 4 naming the violation
+    (here a fake one for agent 2), and no allocation file is written."""
+    calls = []
+    monkeypatch.setattr(module, witness, lambda *args: calls.append(args) or violation)
     out = tmp_path / "alloc.json"
-    assert run(solver, inst_path, "-o", out) == EXIT_INTERNAL
-    assert "solver output failed verification" in capsys.readouterr().err
+    assert run(argv[0], inst_path, *argv[1:], "-o", out) == EXIT_INTERNAL
+    err = capsys.readouterr().err
+    assert "solver output failed verification: agent 2 envies" in err
+    assert [args[2:] for args in calls] == [eps]
     assert not out.exists()
 
 
@@ -196,6 +215,27 @@ def test_oversized_integer_literal(tmp_path, capsys, argv, text):
     path = tmp_path / "input.json"
     path.write_text(text % LONG_INT)
     expect_bad_input(capsys, [argv[0], path, *argv[1:]], f"{path}: ")
+
+
+@pytest.fixture
+def default_digit_limit():
+    """Python's default int->str digit limit, whatever this run's."""
+    limit = sys.get_int_max_str_digits()
+    sys.set_int_max_str_digits(4300)
+    yield
+    sys.set_int_max_str_digits(limit)
+
+
+@pytest.mark.parametrize("field", ["x", "charity"])
+def test_oversized_rational_entry(inst_path, tmp_path, capsys, default_digit_limit, field):
+    """A "p/q" entry whose denominator is past the digit limit is malformed
+    input (exit 2), not the precondition exit 3 of Fraction's ValueError."""
+    out = tmp_path / "alloc.json"
+    assert run("solve-divisible", inst_path, "-o", out) == EXIT_OK
+    doc = json.loads(out.read_text())
+    (doc["x"][0] if field == "x" else doc["charity"])[0] = f"1/{LONG_INT}"
+    out.write_text(json.dumps(doc))
+    expect_bad_input(capsys, ["verify", out, "--mode", "fef"], f"field '{field}'")
 
 
 def test_unverified_parity_probe_exits_4(tmp_path, monkeypatch, capsys):
