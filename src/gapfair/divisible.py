@@ -10,8 +10,10 @@ via exact fractional knapsacks.
 
 from __future__ import annotations
 
+from collections import Counter
 from dataclasses import dataclass
 from fractions import Fraction
+from math import lcm
 from typing import Callable, Optional
 
 from .instance import (
@@ -28,7 +30,7 @@ from .instance import (
     require_ints,
     strip_fictional,
 )
-from .lp import EQ, LE, LinearProgram, feasible, resume
+from .lp import EQ, LE, LinearProgram, _satisfies, feasible
 
 
 @dataclass(frozen=True)
@@ -118,6 +120,70 @@ def build_lp(
     return lp, cols
 
 
+def _edge_program(instance: Instance, tau, budget_relation: str) -> LinearProgram:
+    """build_lp's program over the edge amounts alone: variable a is
+    y_a = x[a, e_a], for every agent a, which must have an edge good.
+
+    With H_g the agents holding g internally and E_g the agents whose edge
+    is g, build_lp's rows tie each x[a, g] of g internal to a to one share
+    s_g = (1 - sum of y over E_g) / |H_g|.  What is left of its program:
+    |H_g| * y_b + sum of y over E_g <= 1 for b in E_g and g internal
+    (x[b, g] <= s_g, which also gives s_g >= 0), the supply cap sum of y
+    over E_g <= 1 for each other edge good g, and each budget row with s_g
+    substituted, scaled by the lcm of the |H_g| it holds.  So both
+    programs have the same points, and the same verdict.
+    """
+    sets = internal_edge(instance, tau)
+    takers, share = _takers_and_shares(sets)
+    lp = LinearProgram(instance.n)
+    for g in sorted(takers):
+        takes = takers[g]
+        if g not in share:
+            lp.add(dict.fromkeys(takes, 1), LE, 1)
+        else:
+            for b in takes:
+                row = dict.fromkeys(takes, 1)
+                row[b] += share[g]
+                lp.add(row, LE, 1)
+    for a, (internal, e) in enumerate(zip(sets.internal, sets.edge)):
+        scale = lcm(*(share[g] for g in internal))
+        row = {a: scale * instance.size(a, e)}
+        rhs = scale * instance.budgets[a]
+        for g in internal:
+            w = instance.size(a, g) * scale // share[g]
+            rhs -= w
+            for b in takers.get(g, ()):
+                row[b] = row.get(b, 0) - w
+        lp.add(row, budget_relation, rhs)
+    return lp
+
+
+def _takers_and_shares(sets: InternalEdgeSets):
+    """Per good g, E_g (ascending) and, for g internal, |H_g|."""
+    takers: dict[int, list[int]] = {}
+    for b, g in enumerate(sets.edge):
+        takers.setdefault(g, []).append(b)
+    return takers, Counter(g for internal in sets.internal for g in internal)
+
+
+def _edge_allocation(instance: Instance, tau, y) -> FractionalAllocation:
+    """The allocation of build_lp's program at the point y of _edge_program:
+    x[a, e_a] = y_a and x[a, g] = s_g for each g internal to a."""
+    sets = internal_edge(instance, tau)
+    takers, share = _takers_and_shares(sets)
+    x = [[Fraction(0)] * instance.m for _ in range(instance.n)]
+    for a, e in enumerate(sets.edge):
+        x[a][e] = y[a]
+    s = {
+        g: (1 - sum((y[b] for b in takers.get(g, ())), Fraction(0))) / h
+        for g, h in share.items()
+    }
+    for a, internal in enumerate(sets.internal):
+        for g in internal:
+            x[a][g] = s[g]
+    return FractionalAllocation(tuple(map(tuple, x)))
+
+
 def check_density_domination(
     instance: Instance, allocation: FractionalAllocation, tau
 ) -> bool:
@@ -159,27 +225,18 @@ def divisible_fef(
     solve, since no budget affords the fictional good that m+2 makes
     internal.  The loop runs at most n(m+1) iterations.
 
-    LP1(tau) is solved cold: its point is the allocation.  Each trial
-    LP2(tau + e_k) is build_lp's program, decided by resume from the final
-    tableau of the last accepted LP2(tau), whose rows and columns it keeps;
-    an accepted trial's point is checked exactly against that program.
+    Each program, LP1(tau) and every trial LP2(tau + e_k), is decided
+    cold over the n edge amounts (_edge_program).  The terminal LP1's point
+    gives the allocation, which is checked exactly against build_lp's
+    LP1(tau) and for density domination.
     """
     aug = augment(instance)
     n, m = instance.n, instance.m
     tau = [1] * n
     limit = n * (m + 1)
     history = [tuple(tau)]  # one entry per iteration after the first
-    # LP2 at the initial tau has only <= rows with right-hand sides >= 0,
-    # so its all-slack basis is feasible; every later tau is accepted only
-    # once the selection step has found a point of it.
-    lp, cols = build_lp(aug, tau, LE)
-    accepted = resume(None, lp, cols)
-    if accepted is None:
-        raise InternalError("the relaxed program at tau = (1, ..., 1) is infeasible")
-    accepted.point(lp, cols)
     while True:
-        lp, cols = build_lp(aug, tau, EQ)
-        result = feasible(lp)
+        result = feasible(_edge_program(aug, tau, EQ))
         if result.feasible:
             break
         if len(history) > limit:
@@ -191,11 +248,7 @@ def divisible_fef(
             if tau[k] == m + 1:
                 continue
             tau[k] += 1
-            lp, cols = build_lp(aug, tau, LE)
-            trial = resume(accepted, lp, cols)
-            if trial is not None:
-                trial.point(lp, cols)
-                accepted = trial
+            if feasible(_edge_program(aug, tau, LE)).feasible:
                 break
             tau[k] -= 1
         else:
@@ -206,10 +259,10 @@ def divisible_fef(
         if trace is not None:
             trace(len(history) - 1, tuple(tau))
 
-    x = [[Fraction(0)] * aug.m for _ in range(n)]
-    for (a, g), v in zip(cols, result.assignment):
-        x[a][g] = v
-    augmented = FractionalAllocation(tuple(map(tuple, x)))
+    augmented = _edge_allocation(aug, tau, result.assignment)
+    lp, cols = build_lp(aug, tau, EQ)
+    if not _satisfies(lp, tuple(augmented.x[a][g] for a, g in cols)):
+        raise InternalError("terminal allocation does not satisfy LP1(tau)")
     if not check_density_domination(aug, augmented, tau):
         raise InternalError("terminal allocation is not density-dominated")
     return DivisibleResult(

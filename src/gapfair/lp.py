@@ -11,16 +11,12 @@ each tableau row keeps its own scale: the coefficient of its basic
 variable is its denominator.  A pivot combines only the rows that hold
 the entering column and divides each of them, together with its basic
 value, by their gcd.  A Fraction is formed only where a quotient is
-needed: in presolve where a singleton row divides, for the values a row
-added to a warm start is measured at, and for the returned point.  The
-exact self-check of every returned point compares integers.
+needed: in presolve where a singleton row divides, and for the returned
+point.  The exact self-check of every returned point compares integers.
 
-resume() is the one way into the tableau: it decides a keyed program from
-the final tableau of one it decided before, or from the empty one, by
-applying only what that parent lacks (new columns with their entries in
-its rows, <= rows turned into = rows, new rows) and running phase 1.
-feasible() presolves a program and enters with every column and row new;
-a chain of programs, each growing the last, is never presolved.
+feasible() is the one way into the tableau: it presolves the program,
+starts from the all-slack basis (an artificial where a row needs one)
+and runs phase 1.  Every program is decided cold.
 """
 
 from __future__ import annotations
@@ -178,73 +174,10 @@ def feasible(lp: LinearProgram) -> FeasibilityResult:
     presolved = _presolve(rows, lo, up)
     if presolved is None:
         return INFEASIBLE
-    program = LinearProgram(lp.var_count, [Constraint(*row) for row in presolved], lo, up)
-    tableau = resume(None, program, range(lp.var_count))
-    if tableau is None:
+    tableau = _Tableau(lo, up, presolved)
+    if not tableau.phase1():
         return INFEASIBLE
-    return FeasibilityResult(tableau.point(lp, range(lp.var_count)))
-
-
-def resume(
-    parent: Optional[_Tableau], lp: LinearProgram, keys
-) -> Optional[_Tableau]:
-    """Decide lp, its variable j keyed keys[j] and its rows keyed by
-    Constraint.key, from parent's final tableau.
-
-    parent is a tableau that resume() returned, or None for the empty
-    program; it is not changed.  lp keeps every row and column parent
-    holds, with the same entries, except that a <= row may turn into =
-    and a new column, at lower bound 0, may have entries in parent's rows.
-    Applied in this order: the new columns with those entries, the rows
-    parent holds that are now =, the new rows in program order.  A program
-    lacking a row or column key of parent's raises LPStructureError; no
-    entry is validated.  Returns the final tableau when lp is feasible,
-    None otherwise.
-    """
-    t = _Tableau() if parent is None else parent._copy()
-    new = [j for j, key in enumerate(keys) if key not in t.cols]
-    entries: dict[int, list] = {}  # new column -> (held row, coefficient)
-    tighten, added = [], []
-    for c in lp.constraints:
-        if (i := t.rows.get(c.key)) is None:
-            added.append(c)
-            continue
-        if c.relation == EQ:
-            tighten.append(i)
-        for j in new:
-            if a := c.coeffs.get(j):
-                entries.setdefault(j, []).append((i, a))
-    if len(keys) - len(new) != len(t.cols) or len(lp.constraints) - len(added) != len(t.rows):
-        raise LPStructureError("the program lacks a row or column of its parent")
-    for j in new:
-        lo, up = lp.lower[j], lp.upper[j]
-        t._clear(lcm(lo.denominator, up.denominator))
-        q = t.q
-        qlo, qup = (v.numerator * (q // v.denominator) for v in (lo, up))
-        col = t.cols[keys[j]] = t._add_column(qlo, qup, True)
-        if j in entries:
-            t._enter(col, entries[j])
-    for i in tighten:
-        t._tighten(i)
-    if added:
-        row_of = {bv: i for i, bv in enumerate(t.basis)}
-        col_of = [t.cols[key] for key in keys]
-        for c in added:
-            t.rows[c.key] = len(t.tab)
-            coeffs = {col_of[j]: a for j, a in c.coeffs.items() if a}
-            t._add_row(coeffs, c.relation, c.rhs, row_of)
-    if not t.phase1():
-        return None
-    # An artificial out of the basis never enters again; unless it is a
-    # unit column, it is dropped.
-    dead = t.artificial.keys() - t.basis - {u for u, _ in t.unit}
-    if dead:
-        for row in t.tab:
-            for a in dead.intersection(row):
-                del row[a]
-        for a in dead:
-            del t.artificial[a]
-    return t
+    return FeasibilityResult(tableau.point(lp))
 
 
 def _presolve(rows, lo, up):
@@ -304,36 +237,27 @@ class _Tableau:
     rank: the caller's variables first, then slacks and artificials, each
     in the order they were added.
 
-    Columns are the caller's variables, one slack per <= row and one
-    artificial per row that needs it.  A row enters as sign * s * m times
-    the given row, s clearing its coefficients' denominators, with a new
-    slack or artificial basic at coefficient m > 0.  In the system of rows
-    as they entered, the row's slack column (sign * m) or, in an = row, its
-    artificial column (m) is a multiple of a unit vector, so the tableau's
-    entries in it are a column of the inverse basis, scaled.  unit[i]
-    holds that column of row i and the factor that turns a new column's
-    coefficient in row i into a multiplier of it (see _enter).  artificial
-    maps each artificial to the scale s that weights it in the phase-1
-    cost; rows and cols map the keys resume() was given to rows and
-    columns.
+    Columns are the caller's variables, at their lower bounds, then one
+    slack per <= row and one artificial per row that needs it.  A row
+    enters as sign * s times the given row, s clearing its coefficients'
+    denominators, with a new slack or artificial basic at coefficient 1.
+    artificial maps each artificial to the scale s that weights it in the
+    phase-1 cost.
     """
 
-    def __init__(self, q: int = 1) -> None:
-        self.q = q
+    def __init__(self, lo, up, rows) -> None:
+        self.q = 1
         self.qlo, self.qup, self.at_upper, self.rank = [], [], [], []  # per column
-        self.tab, self.basis, self.beta, self.unit = [], [], [], []
-        self.artificial, self.rows, self.cols = {}, {}, {}
-
-    def _copy(self) -> _Tableau:
-        t = _Tableau(self.q)
-        t.qlo, t.qup, t.at_upper = list(self.qlo), list(self.qup), list(self.at_upper)
-        t.rank = list(self.rank)
-        t.tab = [dict(row) for row in self.tab]
-        t.basis, t.beta = list(self.basis), list(self.beta)
-        t.unit = list(self.unit)
-        t.artificial, t.rows = dict(self.artificial), dict(self.rows)
-        t.cols = dict(self.cols)
-        return t
+        self.tab, self.basis, self.beta = [], [], []
+        self.artificial = {}
+        for v_lo, v_up in zip(lo, up):
+            self._clear(lcm(v_lo.denominator, v_up.denominator))
+            q = self.q
+            self._add_column(
+                *(v.numerator * (q // v.denominator) for v in (v_lo, v_up)), True
+            )
+        for row in rows:
+            self._add_row(*row)
 
     def _add_column(self, qlo=0, qup=None, variable=False) -> int:
         j = len(self.qlo)
@@ -352,103 +276,40 @@ class _Tableau:
             self.qlo[:] = [v * f for v in self.qlo]
             self.qup[:] = [None if v is None else v * f for v in self.qup]
 
-    def _add_row(self, coeffs, rel, rhs, row_of) -> None:
+    def _add_row(self, coeffs, rel, rhs) -> None:
         """Append the row coeffs rel rhs, coeffs keyed by column, with a new
-        basic slack or artificial.
-
-        The row is expressed in the nonbasic columns: a basic column in it
-        is eliminated with its row; row_of maps each basic column to its
-        row and gains the new one.
-        """
+        basic slack or artificial; every column in coeffs is nonbasic at
+        its lower bound."""
         s = lcm(*(c.denominator for c in coeffs.values()))
         self._clear(rhs.denominator // gcd(s, rhs.denominator))
         row = {j: c.numerator * (s // c.denominator) for j, c in coeffs.items()}
-        # q * s times the right-hand side minus the row at the current point;
-        # a Fraction when a basic column in the row has a fractional value.
-        at = [
-            (self.qup if self.at_upper[j] else self.qlo)[j]
-            if (i := row_of.get(j)) is None
-            else Fraction(self.beta[i], self.tab[i][j])
-            for j in row
-        ]
+        # q * s times the right-hand side minus the row at the lower bounds.
         residual = rhs.numerator * (s * self.q // rhs.denominator) - sum(
-            map(mul, row.values(), at)
+            map(mul, row.values(), map(self.qlo.__getitem__, row))
         )
-        m = residual.denominator
-        if m != 1:
-            row = {j: m * c for j, c in row.items()}
-        residual = residual.numerator
-        sign = -1 if residual < 0 else 1
-        slack = None
         if rel == LE:
-            slack = first = self._add_column()
-            row[slack] = m
-        if rel == EQ or sign < 0:
-            if sign < 0:
+            first = self._add_column()
+            row[first] = 1
+        if rel == EQ or residual < 0:
+            if residual < 0:
                 row = {j: -v for j, v in row.items()}
             first = self._add_column()
-            row[first] = m
+            row[first] = 1
             self.artificial[first] = s
-        beta = abs(residual)
-        for j in [j for j in row if j in row_of]:
-            prow = self.tab[row_of[j]]
-            beta = _combine(row, row[j], prow[j], prow, prow[j] * beta)
-        row_of[first] = len(self.tab)
         self.tab.append(row)
         self.basis.append(first)
-        self.beta.append(beta)
-        self.unit.append((slack, s) if slack is not None else (first, sign * s))
+        self.beta.append(abs(residual))
 
-    def _enter(self, col: int, entries) -> None:
-        """Give the new column col, nonbasic at 0, its entries in the rows.
-
-        entries holds col's (row r, coefficient) pairs in the rows as they
-        entered.  Each contributes tab[i][unit] * f * coefficient to row
-        i's entry, with (unit, f) = unit[r].
-        """
-        terms = []
-        for r, a in entries:
-            unit, f = self.unit[r]
-            terms.append((unit, f * a))
-        for i, row in enumerate(self.tab):
-            e = 0
-            for unit, mult in terms:
-                v = row.get(unit)
-                if v:
-                    e += v * mult
-            if e:
-                if e.denominator != 1:  # rescale the row to keep it integral
-                    for j in row:
-                        row[j] *= e.denominator
-                    self.beta[i] *= e.denominator
-                row[col] = e.numerator
-
-    def _tighten(self, i: int) -> None:
-        """Turn row i's <= into = by fixing its slack at 0; an = row is left
-        as it is.  If the slack is basic above 0, an artificial with the same
-        column takes its place.  Row i's slack is its unit column unless that
-        is an artificial, which is never dropped."""
-        slack = self.unit[i][0]
-        if slack in self.artificial or self.qup[slack] is not None:
-            return
-        self.qup[slack] = 0
-        if slack in self.basis:
-            r = self.basis.index(slack)
-            if self.beta[r] > 0:
-                art = self.basis[r] = self._add_column()
-                self.artificial[art] = 1
-                self.tab[r][art] = self.tab[r][slack]
-
-    def point(self, lp: LinearProgram, keys) -> tuple[Fraction, ...]:
-        """The current values of the columns keyed keys, once they pass an
-        exact check against lp, the program with variables keys."""
+    def point(self, lp: LinearProgram) -> tuple[Fraction, ...]:
+        """The current values of lp's variables, once they pass an exact
+        check against lp."""
         where = {bv: i for i, bv in enumerate(self.basis)}
         q = self.q
         point = tuple(
             Fraction((self.qup if self.at_upper[j] else self.qlo)[j], q)
             if (i := where.get(j)) is None
             else Fraction(self.beta[i], self.tab[i][j] * q)
-            for j in map(self.cols.__getitem__, keys)
+            for j in range(lp.var_count)
         )
         # A failure here is an internal bug.
         if not _satisfies(lp, point):

@@ -174,7 +174,11 @@ def load_allocation(
     instance_path = Path(doc["instance"])
     if not instance_path.is_absolute():
         instance_path = path.parent / instance_path
-    if not instance_path.is_file():
+    try:
+        found = instance_path.is_file()
+    except OSError as exc:  # such as a name past the file system's limit
+        raise InstanceFormatError(f"field 'instance': {exc.strerror}") from exc
+    if not found:
         raise InstanceFormatError(f"referenced instance {instance_path} not found")
     data = instance_path.read_bytes()  # hash-checked and parsed alike
     if hashlib.sha256(data).hexdigest() != doc.get("instance_sha256"):

@@ -48,31 +48,6 @@ def _point_ok(lp: LinearProgram, point) -> bool:
     return True
 
 
-def grow(lp: LinearProgram, cols, step):
-    """lp, its variable j keyed cols[j], grown by step, and the keys of its
-    variables.  step is (columns, tighten, rows): (key, lower, upper,
-    {row key: coefficient}) per new column, the keys of the rows turned
-    into =, and (key, {column key: coefficient}, relation, rhs) per new
-    row.  lp's rows keep their places, new columns get their coefficients
-    in them, and new rows follow: the grown program lp.resume() decides
-    from lp's final tableau."""
-    columns, tighten, rows = step
-    cols = [*cols, *(key for key, *_ in columns)]
-    var = {key: j for j, key in enumerate(cols)}
-    grown = LinearProgram(len(cols))
-    grown.lower = [*lp.lower, *(Fraction(lo) for _, lo, _, _ in columns)]
-    grown.upper = [*lp.upper, *(Fraction(up) for _, _, up, _ in columns)]
-    for c in lp.constraints:
-        coeffs = dict(c.coeffs)
-        for key, _, _, entries in columns:
-            if c.key in entries:
-                coeffs[var[key]] = entries[c.key]
-        grown.add(coeffs, EQ if c.key in tighten else c.relation, c.rhs, c.key)
-    for key, coeffs, rel, rhs in rows:
-        grown.add({var[c]: a for c, a in coeffs.items()}, rel, rhs, key)
-    return grown, cols
-
-
 def lp_feasible_brute(lp: LinearProgram) -> bool:
     """Vertex-enumeration feasibility for box-bounded programs.
 

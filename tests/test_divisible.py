@@ -152,51 +152,47 @@ class TestSolver:
     def test_saturated_agents_are_skipped(self, monkeypatch):
         # A threshold of m+2 makes the fictional good internal, which no
         # budget can afford, so the loop never builds such a program.
-        # Decided programs: LP1 through feasible, trials through resume
-        # with a parent (the chain root has none).
+        # Every program the loop decides is an _edge_program.
         taus, calls = [], []
-        real_build = divisible.build_lp
-        real_feasible, real_resume = divisible.feasible, divisible.resume
+        real_edge_program = divisible._edge_program
+        real_feasible = divisible.feasible
 
-        def recording_build(instance, tau, budget_relation):
+        def recording_edge_program(instance, tau, budget_relation):
             taus.append(tuple(tau))
-            return real_build(instance, tau, budget_relation)
+            return real_edge_program(instance, tau, budget_relation)
 
         def counting_feasible(lp):
             calls.append(lp)
             return real_feasible(lp)
 
-        def counting_resume(parent, lp, keys):
-            if parent is not None:
-                calls.append(lp)
-            return real_resume(parent, lp, keys)
-
-        monkeypatch.setattr(divisible, "build_lp", recording_build)
+        monkeypatch.setattr(divisible, "_edge_program", recording_edge_program)
         monkeypatch.setattr(divisible, "feasible", counting_feasible)
-        monkeypatch.setattr(divisible, "resume", counting_resume)
         inst = gen_random(7, 3, 6)
         divisible_fef(inst)
-        assert all(t <= inst.m + 1 for tau in taus for t in tau)
-        assert len(calls) == 38
+        assert max(t for tau in taus for t in tau) == inst.m + 1
+        assert len(taus) == len(calls) == 38
 
-    def test_an_accepted_trial_is_checked_against_build_lp(self, monkeypatch):
-        # Every exact check after the root's fails, so the first accepted
-        # trial's point is refused; LP1 is infeasible at that tau and asks
-        # no check.
-        real_satisfies = lp_module._satisfies
+    def test_a_failed_terminal_check_is_an_internal_error(self, monkeypatch):
+        # The allocation built from the edge amounts is checked once, exactly,
+        # against build_lp's LP1 at the terminal tau, and for domination.
+        inst = gen_random(7, 3, 6)
+        result = divisible_fef(inst)
+        lp, cols = build_lp(augment(inst), result.tau, EQ)
+        point = tuple(result.augmented_allocation.x[a][g] for a, g in cols)
         checked = []
 
-        def failing_after_root(lp, point):
-            checked.append(lp)
-            return len(checked) == 1 and real_satisfies(lp, point)
+        def failing(lp, point):
+            checked.append((lp, point))
+            return False
 
-        monkeypatch.setattr(lp_module, "_satisfies", failing_after_root)
-        inst = gen_random(7, 3, 6)
-        with pytest.raises(InternalError, match="infeasible point"):
+        monkeypatch.setattr(divisible, "_satisfies", failing)
+        with pytest.raises(InternalError, match="does not satisfy LP1"):
             divisible_fef(inst)
-        aug = augment(inst)
-        root, trial = (build_lp(aug, tau, LE)[0] for tau in [(1, 1, 1), (2, 1, 1)])
-        assert checked == [root, trial]
+        assert checked == [(lp, point)]
+        monkeypatch.undo()
+        monkeypatch.setattr(divisible, "check_density_domination", lambda *_: False)
+        with pytest.raises(InternalError, match="not density-dominated"):
+            divisible_fef(inst)
 
     def test_density_orderings_computed_once_per_instance(self, monkeypatch):
         calls = []
@@ -255,10 +251,29 @@ class TestSelectionReplay:
                     assert not feasible(build_lp(aug, trial, LE)[0]).feasible
 
 
+class TestEdgeProgram:
+    """_edge_program(aug, tau, rel), over the n edge amounts, decides
+    build_lp(aug, tau, rel): on drawn instances and thresholds with every
+    tau_a <= m + 1, both programs get the same verdict, and the allocation
+    built from a point of the small one satisfies build_lp's."""
+
+    @settings(max_examples=200, deadline=None)
+    @given(instances(max_agents=3, max_goods=4, max_value=4, max_size=3), st.data())
+    def test_agrees_with_build_lp(self, inst, data):
+        aug = augment(inst)
+        tau = tuple(data.draw(st.integers(1, inst.m + 1)) for _ in range(inst.n))
+        for rel in (LE, EQ):
+            lp, cols = build_lp(aug, tau, rel)
+            result = feasible(divisible._edge_program(aug, tau, rel))
+            assert result.feasible == feasible(lp).feasible
+            if result.feasible:
+                x = divisible._edge_allocation(aug, tau, result.assignment).x
+                assert lp_module._satisfies(lp, tuple(x[a][g] for a, g in cols))
+
+
 class TestStepsGrowBuildLp:
-    """Each threshold step tau -> tau + e_k grows build_lp's program, which
-    is what lets divisible_fef decide the trial LP2(tau + e_k) by resume
-    from the final tableau of LP2(tau): the trial keeps every row and
+    """Each threshold step tau -> tau + e_k grows build_lp's program, as
+    its row keys promise: the trial LP2(tau + e_k) keeps every row and
     column of LP2(tau) with its entries, turns rows only from <= into =,
     and adds columns only at lower bound 0.  Checked for every trial the
     solver may make along its tau path."""

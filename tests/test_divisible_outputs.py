@@ -5,14 +5,17 @@ it stood when each threshold program still carried one variable per
 (agent, good) pair and zero-fixing rows outside each agent's support; the
 support-only programs must reproduce them exactly.  A history lists every
 threshold vector as one digit per agent; an allocation lists the base-good
-fractions of each agent, agents separated by "|".
+fractions of each agent, agents separated by "|".  The 240-instance ladder
+is pinned by one SHA-256 over all of its outputs.
 """
 
+import hashlib
 import random
 
 import pytest
 
 from gapfair import Instance, divisible_fef
+from gapfair.cli import gen_random
 
 
 def pinned_instance(seed):
@@ -208,3 +211,19 @@ def test_divisible_outputs_match_pinned(seed):
     assert encode_history(result) == history
     assert encode_allocation(result) == allocation
     assert result.tau == result.tau_history[-1]
+
+
+# SHA-256 over repr((allocation.x, tau_history)) of gen_random(seed, n, m),
+# seed-major, as recorded when every threshold program held one variable
+# per (agent, supported good).
+LADDER_SIZES = ((2, 4), (3, 5), (3, 6), (4, 6))
+LADDER_SHA256 = "587a475ef6780b85a699a4c9c29266286acd1f676b96fd1d5fd9f938c0937b91"
+
+
+def test_ladder_outputs_match_pinned():
+    digest = hashlib.sha256()
+    for seed in range(1, 61):
+        for n, m in LADDER_SIZES:
+            result = divisible_fef(gen_random(seed, n, m))
+            digest.update(repr((result.allocation.x, result.tau_history)).encode())
+    assert digest.hexdigest() == LADDER_SHA256

@@ -238,6 +238,17 @@ def test_oversized_rational_entry(inst_path, tmp_path, capsys, default_digit_lim
     expect_bad_input(capsys, ["verify", out, "--mode", "fef"], f"field '{field}'")
 
 
+def test_instance_name_past_the_file_system_limit(inst_path, tmp_path, capsys):
+    """An 'instance' path longer than the file system's name limit names
+    the field (exit 2), not only the operating system's error."""
+    out = tmp_path / "alloc.json"
+    assert run("solve-divisible", inst_path, "-o", out) == EXIT_OK
+    doc = json.loads(out.read_text())
+    doc["instance"] = "a" * 5000
+    out.write_text(json.dumps(doc))
+    expect_bad_input(capsys, ["verify", out, "--mode", "fef"], "field 'instance'")
+
+
 def test_unverified_parity_probe_exits_4(tmp_path, monkeypatch, capsys):
     """A probe allocation that is not FEFx stops the harness: here every
     probe returns empty bundles, and the gadget's charity is envied."""
