@@ -3,10 +3,12 @@
 Both solvers run one swap loop: starting from empty bundles, it
 repeatedly swaps a minimal envied subset of the charity, found in one
 ascending pass, into the bundle of an agent who envies it.  Envy tests
-are knapsack queries, exact at eps = 0; at eps > 0 they are FPTAS queries
-at accuracy eps/2 with every comparison relaxed by the exact rational
-factor (1 - eps/2), and minimal means that no agent envies the set minus
-any good at factor (1 - eps).
+are exact at eps = 0: the pass decides them by merging Pareto fronts of
+the goods kept and of a suffix of the charity, and one knapsack query
+gives the witness.  At eps > 0 they are FPTAS queries at accuracy eps/2
+with every comparison relaxed by the exact rational factor (1 - eps/2),
+and minimal means that no agent envies the set minus any good at factor
+(1 - eps).
 
 Scan order everywhere is ascending good index, then ascending agent
 index, first hit taken, so runs are reproducible.
@@ -28,7 +30,7 @@ from .instance import (
     require_agent,
     require_exact,
 )
-from .knapsack import apx_kns, kns_exact, query_for_agent
+from .knapsack import _add, _best_within, _fronts, apx_kns, kns_exact, query_for_agent
 
 Target = Union[int, str]
 
@@ -102,6 +104,36 @@ def _first_envy(instance, owns, goods, test) -> Optional[EnvyWitness]:
     return None
 
 
+def _front_envier(instance: Instance, owns, goods: list[int]):
+    """The exact envy test of the one-pass search, on Pareto fronts.
+
+    `envier(kept, i)` is the first agent in `owns` whose best feasible
+    subset of `kept` + goods[i:] beats her own value, or None: one merge
+    (`knapsack._best_within`) of her front of `kept` with her front of the
+    suffix goods[i:].  Her suffix fronts are built in one pass over `goods`
+    the first time she is asked, and her front of `kept` takes in, one
+    `knapsack._add` each, the goods kept since she was last asked.
+    """
+    suffixes: dict[int, list] = {}
+    kept_fronts: dict[int, tuple] = {}  # agent: (front of kept[:count], count)
+
+    def envier(kept: list[int], i: int) -> Optional[int]:
+        for a, own in owns:
+            sizes, values, cap = instance.sizes[a], instance.values[a], instance.budgets[a]
+            if a not in suffixes:
+                suffixes[a] = _fronts([(sizes[g], values[g]) for g in reversed(goods)], cap)[::-1]
+                kept_fronts[a] = suffixes[a][-1], 0
+            front, count = kept_fronts[a]
+            for g in kept[count:]:
+                front = _add(front, sizes[g], values[g], cap)
+            kept_fronts[a] = front, len(kept)
+            if _best_within(front, suffixes[a][i], cap) > own:
+                return a
+        return None
+
+    return envier
+
+
 def find_minimal_envied_subset(
     instance: Instance,
     allocation: IntegralAllocation,
@@ -118,19 +150,36 @@ def find_minimal_envied_subset(
     on some t containing S, where no agent b envied t - g: with o_b her own
     value, o_b >= (1 - eps/2) apx_b(t - g) >= (1 - eps/2)^2 OPT_b(t - g) >=
     (1 - eps) OPT_b(Y) for Y within S - g, as `fefx_witness` needs.
+
+    Every t - g the pass asks about is the goods kept before g plus the
+    goods after it.  At eps = 0 each question is one merge of Pareto
+    fronts (`_front_envier`), and the one knapsack call is the witness of
+    the last hit, whose set S is the goods kept at the end.  At eps > 0
+    each question runs the FPTAS for each agent asked.
     """
     test = _envy_test(_unit_eps(eps))
     check_shape(instance, allocation)
     owns = [(a, instance.bundle_value(a, allocation.bundles[a])) for a in range(instance.n)]
-    last = _first_envy(instance, owns, allocation.charity, test)
+    goods = sorted(allocation.charity)
+    exact = test[0] is None
+    if exact:
+        envier = _front_envier(instance, owns, goods)
+    else:
+        def envier(kept, i):
+            return _first_envy(instance, owns, frozenset(kept + goods[i:]), test)
+    kept: list[int] = []
+    last = envier(kept, 0)
     if last is None:
         return None
-    t = set(allocation.charity)
-    for g in sorted(allocation.charity):
-        hit = _first_envy(instance, owns, frozenset(t - {g}), test)
-        if hit is not None:
-            t.remove(g)
+    for i, g in enumerate(goods, 1):
+        hit = envier(kept, i)
+        if hit is None:
+            kept.append(g)
+        else:
             last = hit
+    if exact:  # `last` is the agent who envies S, the goods kept
+        best = kns_exact(query_for_agent(instance, last, kept))
+        return EnvyWitness(last, best.subset, best.value)
     return last
 
 

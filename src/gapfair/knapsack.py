@@ -1,5 +1,13 @@
-"""Knapsack oracles: exact and FPTAS, over one kernel of non-dominated
-(value, weight) states; the FPTAS feeds it floor-scaled values.
+"""Knapsack oracles: exact and FPTAS, over one kernel of Pareto fronts;
+the FPTAS feeds it floor-scaled values.
+
+A front is two ascending lists, weights and values, of the states
+(weight, value) of some item subsets: each weighs at most the capacity and
+each heavier state is worth strictly more, so a front holds at most
+min(capacity, total value) + 1 states.  `_add` adds one item to a front
+in one two-pointer merge, and `_best_within` finds the best pair of states
+of two fronts within a capacity; the exact envy search combines them on
+suffixes of the charity (`indivisible.find_minimal_envied_subset`).
 
 The exact subset has maximum value; among those, least weight; remaining
 ties exclude the later item first.  These back the envy tests of the
@@ -10,6 +18,7 @@ integers; the FPTAS accuracy parameter is an exact rational.
 
 from __future__ import annotations
 
+from bisect import bisect_left
 from dataclasses import dataclass
 from fractions import Fraction
 from typing import Iterable
@@ -79,30 +88,85 @@ def _split_forced(q: KnapsackQuery):
     return forced, rest
 
 
+def _add(front, w: int, v: int, cap: int):
+    """The front of the states of `front`, each with and without one more
+    item of weight w and value v, cut at cap.
+
+    One two-pointer merge of the front with its copy shifted by (w, v),
+    lightest first and, between two states of one weight, the more valuable
+    first, keeps each state worth strictly more than every lighter one.
+    """
+    ws, ts = front
+    k = len(ws)
+    out_w: list[int] = []
+    out_t: list[int] = []
+    last = -1
+    i = 0
+    for sw, st in zip(ws, ts):
+        sw += w
+        if sw > cap:
+            break
+        st += v
+        while i < k and (ws[i] < sw or ws[i] == sw and ts[i] >= st):
+            if ts[i] > last:
+                out_w.append(ws[i])
+                out_t.append(ts[i])
+                last = ts[i]
+            i += 1
+        if st > last:
+            out_w.append(sw)
+            out_t.append(st)
+            last = st
+    while i < k and ts[i] <= last:
+        i += 1
+    return out_w + ws[i:], out_t + ts[i:]
+
+
+def _fronts(pairs, cap: int) -> list:
+    """fronts[i]: the front of the subsets of the first i (weight, value)
+    pairs, cut at cap."""
+    fronts = [([0], [0])]
+    for w, v in pairs:
+        fronts.append(_add(fronts[-1], w, v, cap))
+    return fronts
+
+
+def _best_within(f1, f2, cap: int) -> int:
+    """Largest t1 + t2 over states (w1, t1) of front f1 and (w2, t2) of
+    front f2 with w1 + w2 <= cap; both fronts are cut at cap.
+
+    One pass: f1 ascending, and the heaviest state of f2 that still fits,
+    which only gets lighter.
+    """
+    (w1, t1), (w2, t2) = f1, f2
+    j = len(w2) - 1
+    best = 0
+    for w, t in zip(w1, t1):
+        while w + w2[j] > cap:
+            j -= 1
+        if t + t2[j] > best:
+            best = t + t2[j]
+    return best
+
+
 def _knapsack(forced, rest, scaled: list[int], cap: int) -> KnapsackSolution:
     """`forced` plus the items of `rest` of largest scaled total within `cap`.
 
-    fronts[i] maps each scaled total reachable by the first i items to its
-    least weight, keeping only totals lighter than every larger total, so
-    no front holds more than min(cap, sum(scaled)) + 1 states.  The
-    backtrack keeps the least weight and excludes the later item on ties.
+    fronts[i] holds the states of the first i items of `rest`.  The
+    backtrack starts from the last front's most valuable state, the
+    lightest of largest total, and excludes the later item whenever the
+    previous front holds the same state.
     """
-    fronts = [{0: 0}]
-    for (_, w, _), sv in zip(rest, scaled):
-        merged = dict(fronts[-1])
-        for t, wt in fronts[-1].items():
-            if wt + w < merged.get(t + sv, cap + 1):
-                merged[t + sv] = wt + w
-        front, lightest = {}, cap + 1
-        for t in sorted(merged, reverse=True):
-            if merged[t] < lightest:
-                front[t] = lightest = merged[t]
-        fronts.append(front)
+    fronts = _fronts(((w, sv) for (_, w, _), sv in zip(rest, scaled)), cap)
     chosen = list(forced)
-    t = max(fronts[-1])
+    ws, ts = fronts[-1]
+    w, t = ws[-1], ts[-1]
     for i in range(len(rest), 0, -1):
-        if fronts[i - 1].get(t) != fronts[i][t]:
+        ws, ts = fronts[i - 1]
+        j = bisect_left(ws, w)
+        if j == len(ws) or ws[j] != w or ts[j] != t:
             chosen.append(rest[i - 1])
+            w -= rest[i - 1][1]
             t -= scaled[i - 1]
     return KnapsackSolution(
         subset=frozenset(g for g, _, _ in chosen),

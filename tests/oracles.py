@@ -129,6 +129,56 @@ def apx_kns_reference(q: KnapsackQuery, eps) -> KnapsackSolution:
     )
 
 
+def knapsack_dict_dp(forced, rest, scaled, cap) -> KnapsackSolution:
+    """The reference knapsack kernel, with the arguments and answer of
+    `gapfair.knapsack._knapsack`: `forced` plus the items of `rest` of
+    largest scaled total within `cap`.
+
+    fronts[i] maps each scaled total reachable by the first i items to its
+    least weight, keeping only totals lighter than every larger total.  The
+    backtrack keeps the least weight and excludes the later item on ties.
+    """
+    fronts = [{0: 0}]
+    for (_, w, _), sv in zip(rest, scaled):
+        merged = dict(fronts[-1])
+        for t, wt in fronts[-1].items():
+            if wt + w < merged.get(t + sv, cap + 1):
+                merged[t + sv] = wt + w
+        front, lightest = {}, cap + 1
+        for t in sorted(merged, reverse=True):
+            if merged[t] < lightest:
+                front[t] = lightest = merged[t]
+        fronts.append(front)
+    chosen = list(forced)
+    t = max(fronts[-1])
+    for i in range(len(rest), 0, -1):
+        if fronts[i - 1].get(t) != fronts[i][t]:
+            chosen.append(rest[i - 1])
+            t -= scaled[i - 1]
+    return KnapsackSolution(
+        subset=frozenset(g for g, _, _ in chosen),
+        value=sum(v for _, _, v in chosen),
+        weight=sum(w for _, w, _ in chosen),
+    )
+
+
+def pareto_front_brute(pairs, cap):
+    """The (weight, value) states of the subsets of `pairs` within `cap`
+    that no other state weakly dominates, by full enumeration, as two
+    lists ascending by weight."""
+    states = set()
+    for take in product((0, 1), repeat=len(pairs)):
+        w = sum(p[0] for p, t in zip(pairs, take) if t)
+        if w <= cap:
+            states.add((w, sum(p[1] for p, t in zip(pairs, take) if t)))
+    front = sorted(
+        (w, v)
+        for w, v in states
+        if not any(w2 <= w and v2 >= v and (w2, v2) != (w, v) for w2, v2 in states)
+    )
+    return [w for w, _ in front], [v for _, v in front]
+
+
 def best_subset_value_brute(instance: Instance, agent: int, goods) -> int:
     """Maximum value over all budget-feasible subsets (full enumeration)."""
     goods = sorted(goods)

@@ -134,6 +134,16 @@ def test_indivisible_pipeline_loads_no_lp(tmp_path, solve, solve_opts, verify_op
     assert not loaded & {"gapfair.lp", "gapfair.divisible"}
 
 
+def test_fefx_pipeline_loads_exactly_the_search_and_kernel(tmp_path):
+    # The front code lives in `knapsack` and `indivisible`, off the path that
+    # importing `gapfair.cli` takes.
+    loaded = loaded_after(pipeline("solve-fefx", [], ["--mode", "fefx"]), tmp_path)
+    assert loaded == {
+        "gapfair", "gapfair.cli", "gapfair.instance", "gapfair.serialize",
+        "gapfair.indivisible", "gapfair.knapsack",
+    }
+
+
 def test_divisible_pipeline_loads_no_knapsack(tmp_path):
     loaded = loaded_after(pipeline("solve-divisible", [], ["--mode", "fef"]), tmp_path)
     assert "gapfair.lp" in loaded

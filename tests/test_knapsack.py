@@ -4,6 +4,7 @@ import random
 import time
 from fractions import Fraction
 from itertools import product
+from unittest import mock
 
 import pytest
 from hypothesis import example, given, settings
@@ -16,7 +17,9 @@ from gapfair import (
     kns_exact,
     query_for_agent,
 )
-from oracles import apx_kns_reference, kns_brute
+from gapfair import knapsack
+from gapfair.knapsack import _best_within, _fronts
+from oracles import apx_kns_reference, knapsack_dict_dp, kns_brute, pareto_front_brute
 from test_knapsack_outputs import EPSILONS
 
 
@@ -217,6 +220,77 @@ class TestIntegerScale:
         assert sol.value == sum(q.values[position[g]] for g in sol.subset)
         assert sol.weight == sum(q.weights[position[g]] for g in sol.subset)
         assert sol.weight <= q.capacity
+
+
+@st.composite
+def items_and_capacity(draw, max_items=7, max_weight=9, max_value=6, max_capacity=15):
+    """(weight, value) pairs and a capacity: zero weights, zero values,
+    items heavier than the capacity and capacity 0 all come up."""
+    k = draw(st.integers(0, max_items))
+    pairs = [
+        (draw(st.integers(0, max_weight)), draw(st.integers(0, max_value)))
+        for _ in range(k)
+    ]
+    return pairs, draw(st.integers(0, max_capacity))
+
+
+class TestFronts:
+    """The front primitives against full enumeration: `_add`, through
+    `_fronts`, keeps exactly the Pareto states of all subsets within the
+    capacity, and `_best_within` finds the best pair of states that fits."""
+
+    @settings(max_examples=300, deadline=None)
+    @given(items_and_capacity())
+    @example(([(0, 3), (0, 0), (2, 5)], 0))  # capacity 0 keeps the zero weights
+    @example(([(4, 2), (20, 9), (4, 2)], 5))  # an item over the capacity, a repeat
+    @example(([(3, 0), (0, 4), (3, 4)], 6))  # zero value and zero weight
+    @example(([(2, 3), (3, 2), (5, 5)], 5))  # two states of weight 5 and value 5
+    def test_each_prefix_front_is_the_pareto_set(self, case):
+        pairs, cap = case
+        fronts = _fronts(pairs, cap)
+        assert len(fronts) == len(pairs) + 1
+        for i, (ws, ts) in enumerate(fronts):
+            assert (list(ws), list(ts)) == pareto_front_brute(pairs[:i], cap)
+
+    @settings(max_examples=300, deadline=None)
+    @given(items_and_capacity(), items_and_capacity())
+    @example(([(0, 2)], 0), ([(0, 3), (1, 9)], 7))  # capacity 0
+    @example(([(9, 5)], 3), ([(8, 1), (0, 0)], 7))  # nothing but zero weights fit
+    def test_best_within_matches_a_brute_force_merge(self, first, second):
+        (left, cap), (right, _) = first, second
+        f1, f2 = pareto_front_brute(left, cap), pareto_front_brute(right, cap)
+        best = max(
+            t1 + t2
+            for w1, t1 in zip(*f1)
+            for w2, t2 in zip(*f2)
+            if w1 + w2 <= cap
+        )
+        assert _best_within(f1, f2, cap) == best
+        q = query([w for w, _ in left + right], [v for _, v in left + right], cap)
+        assert best == kns_brute(q).value
+
+
+class TestKernelMatchesTheDictDp:
+    """`kns_exact` and `apx_kns` return exactly the `KnapsackSolution` of
+    the dict DP the front kernel replaced (`oracles.knapsack_dict_dp`),
+    ties included: the second strategy draws many equal weights and
+    values."""
+
+    @settings(max_examples=500, deadline=None)
+    @given(
+        st.one_of(
+            labelled_queries(max_value=400),
+            labelled_queries(max_items=10, max_weight=3, max_value=3, max_capacity=8),
+        ),
+        st.sampled_from([None, *EPSILONS]),
+    )
+    @example(query([2, 2, 2], [3, 3, 3], 4), None)
+    @example(KnapsackQuery((0, 1), (2, 1), (1, 1), 2), None)
+    def test_same_solution(self, q, eps):
+        solve = (lambda: kns_exact(q)) if eps is None else (lambda: apx_kns(q, eps))
+        with mock.patch.object(knapsack, "_knapsack", knapsack_dict_dp):
+            reference = solve()
+        assert solve() == reference
 
 
 class TestQueryForAgent:
