@@ -4,11 +4,11 @@ Both solvers run one swap loop: starting from empty bundles, it
 repeatedly swaps a minimal envied subset of the charity, found in one
 ascending pass, into the bundle of an agent who envies it.  Envy tests
 are exact at eps = 0: the pass decides them by merging Pareto fronts of
-the goods kept and of a suffix of the charity, and one knapsack query
-gives the witness.  At eps > 0 they are FPTAS queries at accuracy eps/2
-with every comparison relaxed by the exact rational factor (1 - eps/2),
-and minimal means that no agent envies the set minus any good at factor
-(1 - eps).
+the goods kept and of a suffix of the charity, and the set it keeps is
+its own witness, so the solve asks the knapsack nothing.  At eps > 0
+they are FPTAS queries at accuracy eps/2 with every comparison relaxed
+by the exact rational factor (1 - eps/2), and minimal means that no
+agent envies the set minus any good at factor (1 - eps).
 
 Scan order everywhere is ascending good index, then ascending agent
 index, first hit taken, so runs are reproducible.
@@ -153,20 +153,29 @@ def find_minimal_envied_subset(
 
     Every t - g the pass asks about is the goods kept before g plus the
     goods after it.  At eps = 0 each question is one merge of Pareto
-    fronts (`_front_envier`), and the one knapsack call is the witness of
-    the last hit, whose set S is the goods kept at the end.  At eps > 0
-    each question runs the FPTAS for each agent asked.
+    fronts (`_front_envier`), and S is its own best feasible subset for
+    the agent a who envies it: were her best subset T of S smaller, T
+    would lie in S - g for some g in S, so a would envy S - g, and S would
+    not be minimal.  So the witness is S with v_a(S), checked exactly
+    (S fits a's budget and beats her own value), and no knapsack is asked.
+    At eps > 0 each question runs the FPTAS for each agent asked.
     """
     test = _envy_test(_unit_eps(eps))
     check_shape(instance, allocation)
-    owns = [(a, instance.bundle_value(a, allocation.bundles[a])) for a in range(instance.n)]
-    goods = sorted(allocation.charity)
+    owns = [instance.bundle_value(a, allocation.bundles[a]) for a in range(instance.n)]
+    return _search(instance, owns, sorted(allocation.charity), test)
+
+
+def _search(instance, owns: list[int], goods: list[int], test) -> Optional[EnvyWitness]:
+    """The pass of `find_minimal_envied_subset`, given each agent's own
+    value and the sorted charity `goods`."""
+    pairs = list(enumerate(owns))
     exact = test[0] is None
     if exact:
-        envier = _front_envier(instance, owns, goods)
+        envier = _front_envier(instance, pairs, goods)
     else:
         def envier(kept, i):
-            return _first_envy(instance, owns, frozenset(kept + goods[i:]), test)
+            return _first_envy(instance, pairs, frozenset(kept + goods[i:]), test)
     kept: list[int] = []
     last = envier(kept, 0)
     if last is None:
@@ -177,10 +186,15 @@ def find_minimal_envied_subset(
             kept.append(g)
         else:
             last = hit
-    if exact:  # `last` is the agent who envies S, the goods kept
-        best = kns_exact(query_for_agent(instance, last, kept))
-        return EnvyWitness(last, best.subset, best.value)
-    return last
+    if not exact:
+        return last
+    # `last` is the agent who envies S, the goods kept: S is its own witness.
+    if not instance.is_feasible_bundle(last, kept):
+        raise InternalError("minimal envied set exceeds its agent's budget")
+    value = instance.bundle_value(last, kept)
+    if not value > owns[last]:
+        raise InternalError("minimal envied set does not beat its agent's bundle")
+    return EnvyWitness(last, frozenset(kept), value)
 
 
 def _swap_limit(instance: Instance, eps) -> int:
@@ -207,32 +221,38 @@ def _swap_limit(instance: Instance, eps) -> int:
 def _swap_loop(instance, eps, trace) -> FefxResult:
     """Grant minimal envied subsets of the charity until nobody envies it.
 
-    Each swap must pass the growth test of `_swap_limit`, compared in
-    integers as num * new > den * old, and the loop stops with InternalError
-    past that limit.
+    The loop owns the solve's state: the bundles, each agent's own value
+    and the charity.  A swap changes one bundle, so it updates one own
+    value, and the welfare is their sum.  Each granted set must lie in the
+    charity and fit its agent's budget, and each swap must pass the growth
+    test of `_swap_limit`, compared in integers as num * new > den * old;
+    the loop raises InternalError otherwise, and past that limit.  The
+    allocation is built once, at the end.
     """
-    n = instance.n
-    bundles: list[frozenset[int]] = [frozenset()] * n
+    test = _envy_test(_unit_eps(eps))
+    _, num, den = test
+    bundles: list[frozenset[int]] = [frozenset()] * instance.n
+    owns = [0] * instance.n
+    charity = set(range(instance.m))
     swaps: list[SwapRecord] = []
     limit = _swap_limit(instance, eps)
-    _, num, den = _envy_test(eps)
-    while True:
-        allocation = IntegralAllocation(instance.m, tuple(bundles))
-        hit = find_minimal_envied_subset(instance, allocation, eps)
-        if hit is None:
-            return FefxResult(allocation, tuple(swaps))
+    while (hit := _search(instance, owns, sorted(charity), test)) is not None:
         if len(swaps) >= limit:
             raise InternalError("swap loop exceeded its bound")
-        old_value = instance.bundle_value(hit.agent, bundles[hit.agent])
-        bundles[hit.agent] = hit.subset
-        new_value = instance.bundle_value(hit.agent, hit.subset)
-        if not num * new_value > den * old_value:
+        a, goods = hit.agent, hit.subset
+        if not goods <= charity or not instance.is_feasible_bundle(a, goods):
+            raise InternalError("granted set is not a feasible subset of the charity")
+        value = instance.bundle_value(a, goods)
+        if not num * value > den * owns[a]:
             raise InternalError("bundle update missed its growth guarantee")
-        welfare = sum(instance.bundle_value(a, bundles[a]) for a in range(n))
-        record = SwapRecord(len(swaps) + 1, hit.agent, hit.subset, welfare)
+        charity |= bundles[a]
+        charity -= goods
+        bundles[a], owns[a] = goods, value
+        record = SwapRecord(len(swaps) + 1, a, goods, sum(owns))
         swaps.append(record)
         if trace is not None:
             trace(record)
+    return FefxResult(IntegralAllocation(instance.m, tuple(bundles)), tuple(swaps))
 
 
 def compute_fefx(

@@ -9,7 +9,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from conftest import instances
-from gapfair import indivisible
+from gapfair import indivisible, serialize
 from gapfair import (
     EnvyWitness,
     InfeasibleAllocationError,
@@ -24,7 +24,8 @@ from gapfair import (
     verify_approx_fefx,
     verify_fefx,
 )
-from gapfair.cli import gen_random
+from gapfair.cli import EXIT_INTERNAL, EXIT_OK, gen_random, main
+from gapfair.knapsack import kns_exact, query_for_agent
 from oracles import (
     best_strict_subset_value_brute,
     best_subset_value_brute,
@@ -142,6 +143,43 @@ class TestMinimalEnviedSubset:
         assert not any(set_is_envied(inst, own, mes.subset - {g}) for g in mes.subset)
 
     @settings(max_examples=150, deadline=None)
+    @given(instance_with_allocation(max_goods=6), st.booleans())
+    def test_exact_witness_is_its_own_best_subset(self, pair, empty):
+        """At eps = 0 the set S the pass keeps is its envier's best feasible
+        subset of S, so the knapsack and brute force agree with the witness
+        the search builds without them."""
+        inst, alloc = pair
+        if empty:
+            alloc = empty_allocation(inst)
+        mes = find_minimal_envied_subset(inst, alloc)
+        if mes is None:
+            return
+        best = kns_exact(query_for_agent(inst, mes.agent, mes.subset))
+        assert (best.subset, best.value) == (mes.subset, mes.value)
+        assert best_subset_value_brute(inst, mes.agent, mes.subset) == mes.value
+
+    @pytest.mark.parametrize(
+        "inst, owned, match",
+        [
+            # Agent 0 can afford one of the two goods, not both.
+            (Instance(1, 2, ((1, 1),), ((1, 1),), (1,)), frozenset(), "budget"),
+            # Agent 0's good 0 is worth as much as good 1, the charity.
+            (Instance(1, 2, ((3, 3),), ((1, 1),), (2,)), frozenset({0}), "beat"),
+        ],
+        ids=["unaffordable", "unenvied"],
+    )
+    def test_a_bad_exact_set_is_an_internal_error(self, monkeypatch, inst, owned, match):
+        # A pass that names agent 0 on the whole charity and keeps every good.
+        monkeypatch.setattr(
+            indivisible,
+            "_front_envier",
+            lambda instance, owns, goods: lambda kept, i: 0 if i == 0 else None,
+        )
+        alloc = IntegralAllocation(inst.m, (owned,))
+        with pytest.raises(InternalError, match=match):
+            find_minimal_envied_subset(inst, alloc)
+
+    @settings(max_examples=150, deadline=None)
     @given(
         instance_with_allocation(max_goods=6, max_value=100),
         st.booleans(),
@@ -231,8 +269,8 @@ class TestComputeFefx:
         # A search that hands back a worthless set breaks the growth guarantee.
         monkeypatch.setattr(
             indivisible,
-            "find_minimal_envied_subset",
-            lambda instance, allocation, eps: EnvyWitness(0, frozenset(), 0),
+            "_search",
+            lambda instance, owns, goods, test: EnvyWitness(0, frozenset(), 0),
         )
         with pytest.raises(InternalError, match="growth"):
             compute_fefx(Instance(1, 1, ((1,),), ((1,),), (1,)))
@@ -421,11 +459,11 @@ class TestApproxPipeline:
 
 
 class TestOneEpsCheckPerSearch:
-    """eps is checked once per minimal-envied-subset search, not once per
-    envy test, and the knapsack traffic is pinned: at eps > 0 the one-pass
-    search makes one envy test per charity good after the whole-charity
-    test; at eps = 0 it merges Pareto fronts and makes one knapsack call,
-    the witness, per granted swap."""
+    """eps is checked once per solve, by the swap loop, not once per search
+    or envy test, and the knapsack traffic is pinned: at eps > 0 the
+    one-pass search makes one envy test per charity good after the
+    whole-charity test; at eps = 0 it merges Pareto fronts, and the set it
+    keeps is its own witness, so the solve makes no knapsack call."""
 
     INSTANCE = gen_random(1, 4, 12, max_value=100000)
 
@@ -448,11 +486,11 @@ class TestOneEpsCheckPerSearch:
         checks = self.counted(monkeypatch, "_unit_eps")
         result = self.solve(eps)
         assert len(result.swaps) == 21
-        assert len(checks) == len(result.swaps) + 1
+        assert len(checks) == 1
 
     @pytest.mark.parametrize(
         "eps, exact_calls, apx_calls",
-        [(None, 21, 0), (Fraction(1, 10), 0, 353)],
+        [(None, 0, 0), (Fraction(1, 10), 0, 353)],
         ids=["fefx", "approx-fefx"],
     )
     def test_knapsack_calls_are_pinned(self, monkeypatch, eps, exact_calls, apx_calls):
@@ -460,6 +498,60 @@ class TestOneEpsCheckPerSearch:
         apx = self.counted(monkeypatch, "apx_kns")
         assert len(self.solve(eps).swaps) == 21
         assert (len(exact), len(apx)) == (exact_calls, apx_calls)
+
+    @pytest.mark.parametrize(
+        "eps, queries",
+        [(None, 0), (Fraction(1, 10), 353)],
+        ids=["fefx", "approx-fefx"],
+    )
+    def test_one_allocation_per_solve(self, monkeypatch, eps, queries):
+        """The swap loop keeps the bundles itself and builds the allocation
+        once; at eps = 0 it builds no knapsack query either."""
+        built = self.counted(monkeypatch, "IntegralAllocation")
+        asked = self.counted(monkeypatch, "query_for_agent")
+        assert len(self.solve(eps).swaps) == 21
+        assert (len(built), len(asked)) == (1, queries)
+
+
+class TestThroughTheCli:
+    """The solve pipelines through `gapfair.cli.main`: a bad grant is a
+    solver bug (exit 4), and the verifier asks the exact knapsack."""
+
+    # Each agent can afford one of the two goods, and both value both.
+    INSTANCE = Instance(2, 2, ((1, 1), (1, 1)), ((1, 1), (1, 1)), (1, 1))
+
+    @pytest.mark.parametrize("eps", [[], ["--eps", "1/10"]], ids=["fefx", "approx-fefx"])
+    @pytest.mark.parametrize(
+        "grants",
+        [
+            [EnvyWitness(0, frozenset({0, 1}), 2)],
+            [EnvyWitness(0, frozenset({0}), 1), EnvyWitness(1, frozenset({0}), 1)],
+        ],
+        ids=["over-budget", "outside-charity"],
+    )
+    def test_a_bad_grant_exits_4(self, tmp_path, monkeypatch, capsys, eps, grants):
+        path = tmp_path / "inst.json"
+        serialize.dump_instance(self.INSTANCE, path)
+        hits = iter(grants)
+        monkeypatch.setattr(indivisible, "_search", lambda *args: next(hits))
+        command = "solve-approx-fefx" if eps else "solve-fefx"
+        assert main([command, str(path), *eps]) == EXIT_INTERNAL
+        assert "internal error" in capsys.readouterr().err
+
+    def test_solve_and_verify_call_the_exact_knapsack(self, tmp_path, monkeypatch):
+        # Tracers wrap `indivisible.kns_exact`; the re-verification of
+        # solve-fefx and verify --mode fefx both reach the kernel through it.
+        path, out = tmp_path / "inst.json", tmp_path / "alloc.json"
+        serialize.dump_instance(gen_random(1, 3, 6), path)
+        calls = []
+        monkeypatch.setattr(
+            indivisible, "kns_exact", lambda query: calls.append(1) or kns_exact(query)
+        )
+        assert main(["solve-fefx", str(path), "-o", str(out)]) == EXIT_OK
+        solved = len(calls)
+        assert solved > 0
+        assert main(["verify", str(out), "--mode", "fefx"]) == EXIT_OK
+        assert len(calls) > solved
 
 
 class TestSwapLimit:
