@@ -142,17 +142,26 @@ def _violation(instance: Instance, allocation, eps=None) -> str | None:
         from . import divisible
 
         w = divisible.fef_witness(instance, allocation)
-        return w and (
-            f"agent {w.agent + 1} envies {_target_label(w.target)} "
-            f"(own value {w.own_value}, attainable {w.best_value})"
+        return w and _with_values(
+            f"agent {w.agent + 1} envies {_target_label(w.target)}",
+            "own value {}, attainable {}", w.own_value, w.best_value,
         )
     from . import indivisible
 
     w = indivisible.fefx_witness(instance, allocation, eps or 0)
-    return w and (
+    return w and _with_values(
         f"agent {w.agent + 1} envies subset {sorted(g + 1 for g in w.subset)} of "
-        f"{_target_label(w.target)} (own value {w.own_value}, subset value {w.subset_value})"
+        f"{_target_label(w.target)}",
+        "own value {}, subset value {}", w.own_value, w.subset_value,
     )
+
+
+def _with_values(sentence: str, template: str, *values) -> str:
+    """The sentence, then the values in brackets, unless str() refuses one."""
+    try:
+        return f"{sentence} ({template.format(*values)})"
+    except ValueError:  # past Python's int->str digit limit
+        return f"{sentence} (values past Python's int->str digit limit)"
 
 
 def _cmd_solve_divisible(args) -> int:

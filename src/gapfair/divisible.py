@@ -30,7 +30,7 @@ from .instance import (
     require_ints,
     strip_fictional,
 )
-from .lp import EQ, LE, LinearProgram, _satisfies, feasible
+from .lp import EQ, LE, Constraint, LinearProgram, _satisfies, feasible
 
 
 @dataclass(frozen=True)
@@ -67,13 +67,15 @@ def internal_edge(instance: Instance, tau) -> InternalEdgeSets:
     for t in tau:
         if not 1 <= t <= top:
             raise ValueError(f"threshold {t} outside [1, {top}]")
-    internal = []
-    edge: list[Optional[int]] = []
-    for a in range(instance.n):
-        pi = density_ordering(instance, a)
-        internal.append(pi[: tau[a] - 1])
-        edge.append(pi[tau[a] - 1] if tau[a] <= instance.m else None)
-    return InternalEdgeSets(tuple(internal), tuple(edge))
+    return _sets([density_ordering(instance, a) for a in range(instance.n)], tau)
+
+
+def _sets(orders, tau) -> InternalEdgeSets:
+    """internal_edge's sets from the agents' density orders, tau unchecked."""
+    return InternalEdgeSets(
+        tuple(pi[: t - 1] for pi, t in zip(orders, tau)),
+        tuple(pi[t - 1] if t <= len(pi) else None for pi, t in zip(orders, tau)),
+    )
 
 
 def build_lp(
@@ -120,7 +122,7 @@ def build_lp(
     return lp, cols
 
 
-def _edge_program(instance: Instance, tau, budget_relation: str) -> LinearProgram:
+def _edge_program(instance: Instance, sets: InternalEdgeSets, rel: str) -> LinearProgram:
     """build_lp's program over the edge amounts alone: variable a is
     y_a = x[a, e_a], for every agent a, which must have an edge good.
 
@@ -131,20 +133,20 @@ def _edge_program(instance: Instance, tau, budget_relation: str) -> LinearProgra
     (x[b, g] <= s_g, which also gives s_g >= 0), the supply cap sum of y
     over E_g <= 1 for each other edge good g, and each budget row with s_g
     substituted, scaled by the lcm of the |H_g| it holds.  So both
-    programs have the same points, and the same verdict.
+    programs have the same points, and the same verdict.  Every entry is a
+    nonzero int, checked once, when feasible() validates the program.
     """
-    sets = internal_edge(instance, tau)
     takers, share = _takers_and_shares(sets)
-    lp = LinearProgram(instance.n)
+    rows = []
     for g in sorted(takers):
         takes = takers[g]
         if g not in share:
-            lp.add(dict.fromkeys(takes, 1), LE, 1)
+            rows.append(Constraint(dict.fromkeys(takes, 1), LE, 1))
         else:
             for b in takes:
                 row = dict.fromkeys(takes, 1)
                 row[b] += share[g]
-                lp.add(row, LE, 1)
+                rows.append(Constraint(row, LE, 1))
     for a, (internal, e) in enumerate(zip(sets.internal, sets.edge)):
         scale = lcm(*(share[g] for g in internal))
         row = {a: scale * instance.size(a, e)}
@@ -154,8 +156,8 @@ def _edge_program(instance: Instance, tau, budget_relation: str) -> LinearProgra
             rhs -= w
             for b in takers.get(g, ()):
                 row[b] = row.get(b, 0) - w
-        lp.add(row, budget_relation, rhs)
-    return lp
+        rows.append(Constraint(row, rel, rhs))
+    return LinearProgram(instance.n, rows)
 
 
 def _takers_and_shares(sets: InternalEdgeSets):
@@ -166,10 +168,9 @@ def _takers_and_shares(sets: InternalEdgeSets):
     return takers, Counter(g for internal in sets.internal for g in internal)
 
 
-def _edge_allocation(instance: Instance, tau, y) -> FractionalAllocation:
+def _edge_allocation(instance: Instance, sets: InternalEdgeSets, y) -> FractionalAllocation:
     """The allocation of build_lp's program at the point y of _edge_program:
     x[a, e_a] = y_a and x[a, g] = s_g for each g internal to a."""
-    sets = internal_edge(instance, tau)
     takers, share = _takers_and_shares(sets)
     x = [[Fraction(0)] * instance.m for _ in range(instance.n)]
     for a, e in enumerate(sets.edge):
@@ -226,17 +227,20 @@ def divisible_fef(
     internal.  The loop runs at most n(m+1) iterations.
 
     Each program, LP1(tau) and every trial LP2(tau + e_k), is decided
-    cold over the n edge amounts (_edge_program).  The terminal LP1's point
-    gives the allocation, which is checked exactly against build_lp's
-    LP1(tau) and for density domination.
+    cold over the n edge amounts (_edge_program), on sets cut from density
+    orders read once per solve.  The terminal LP1's point gives the
+    allocation, checked exactly against build_lp's LP1(tau) and for density
+    domination.
     """
     aug = augment(instance)
     n, m = instance.n, instance.m
+    orders = [density_ordering(aug, a) for a in range(n)]
     tau = [1] * n
     limit = n * (m + 1)
     history = [tuple(tau)]  # one entry per iteration after the first
     while True:
-        result = feasible(_edge_program(aug, tau, EQ))
+        sets = _sets(orders, tau)
+        result = feasible(_edge_program(aug, sets, EQ))
         if result.feasible:
             break
         if len(history) > limit:
@@ -248,7 +252,7 @@ def divisible_fef(
             if tau[k] == m + 1:
                 continue
             tau[k] += 1
-            if feasible(_edge_program(aug, tau, LE)).feasible:
+            if feasible(_edge_program(aug, _sets(orders, tau), LE)).feasible:
                 break
             tau[k] -= 1
         else:
@@ -259,7 +263,7 @@ def divisible_fef(
         if trace is not None:
             trace(len(history) - 1, tuple(tau))
 
-    augmented = _edge_allocation(aug, tau, result.assignment)
+    augmented = _edge_allocation(aug, sets, result.assignment)
     lp, cols = build_lp(aug, tau, EQ)
     if not _satisfies(lp, tuple(augmented.x[a][g] for a, g in cols)):
         raise InternalError("terminal allocation does not satisfy LP1(tau)")

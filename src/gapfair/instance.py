@@ -223,7 +223,7 @@ class FractionalAllocation:
     def m(self) -> int:
         return len(self.x[0])
 
-    @property
+    @cached_property
     def charity(self) -> tuple[Fraction, ...]:
         """Unassigned fraction of every good, 1 - sum over agents."""
         return tuple(
@@ -272,7 +272,7 @@ class IntegralAllocation:
     def n(self) -> int:
         return len(self.bundles)
 
-    @property
+    @cached_property
     def charity(self) -> frozenset[int]:
         assigned = frozenset().union(*self.bundles) if self.bundles else frozenset()
         return frozenset(range(self.m)) - assigned

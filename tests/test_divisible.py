@@ -23,9 +23,9 @@ from gapfair import (
     internal_edge,
     verify_fef,
 )
-from gapfair import divisible
-from gapfair.cli import gen_random
-from gapfair.lp import EQ, LE, feasible
+from gapfair import density_ordering, divisible, serialize
+from gapfair.cli import EXIT_INTERNAL, gen_random, main
+from gapfair.lp import EQ, LE, LPStructureError, feasible
 from oracles import best_fractional_value_brute
 
 
@@ -152,14 +152,15 @@ class TestSolver:
     def test_saturated_agents_are_skipped(self, monkeypatch):
         # A threshold of m+2 makes the fictional good internal, which no
         # budget can afford, so the loop never builds such a program.
-        # Every program the loop decides is an _edge_program.
+        # Every program the loop decides is an _edge_program; tau_a is
+        # one more than the count of agent a's internal goods.
         taus, calls = [], []
         real_edge_program = divisible._edge_program
         real_feasible = divisible.feasible
 
-        def recording_edge_program(instance, tau, budget_relation):
-            taus.append(tuple(tau))
-            return real_edge_program(instance, tau, budget_relation)
+        def recording_edge_program(instance, sets, budget_relation):
+            taus.append(tuple(len(internal) + 1 for internal in sets.internal))
+            return real_edge_program(instance, sets, budget_relation)
 
         def counting_feasible(lp):
             calls.append(lp)
@@ -193,6 +194,55 @@ class TestSolver:
         monkeypatch.setattr(divisible, "check_density_domination", lambda *_: False)
         with pytest.raises(InternalError, match="not density-dominated"):
             divisible_fef(inst)
+
+    def test_programs_are_cut_from_the_orders_and_checked_once(self, monkeypatch):
+        # The loop cuts each program's sets from orders it reads once, so
+        # internal_edge runs only for the two terminal checks at tau*, and
+        # its programs reach feasible without LinearProgram.add: every add
+        # call is a row of the terminal build_lp.
+        inst = gen_random(7, 3, 6)
+        taus, keys = [], []
+        real_internal_edge = divisible.internal_edge
+        real_add = lp_module.LinearProgram.add
+
+        def counting_internal_edge(instance, tau):
+            taus.append(tuple(tau))
+            return real_internal_edge(instance, tau)
+
+        def recording_add(lp, coeffs, relation, rhs, key=None):
+            keys.append(key)
+            return real_add(lp, coeffs, relation, rhs, key)
+
+        monkeypatch.setattr(divisible, "internal_edge", counting_internal_edge)
+        monkeypatch.setattr(lp_module.LinearProgram, "add", recording_add)
+        result = divisible_fef(inst)
+        monkeypatch.undo()
+        assert taus == [result.tau] * 2
+        lp, _ = build_lp(augment(inst), result.tau, EQ)
+        assert keys == [c.key for c in lp.constraints]
+
+    def test_a_malformed_program_is_refused_by_feasible(
+        self, monkeypatch, tmp_path, capsys
+    ):
+        # With a float size for one good, the first program holds a float
+        # entry; feasible's validation, the one check, names its row.
+        inst = gen_random(7, 3, 6)
+        good = density_ordering(augment(inst), 0)[0]  # agent 1's first edge
+        real_size = Instance.size
+
+        def float_size(self, agent, g):
+            size = real_size(self, agent, g)
+            return float(size) if g == good else size
+
+        monkeypatch.setattr(Instance, "size", float_size)
+        refused = r"^constraint \d+: .* is not an int"
+        with pytest.raises(LPStructureError, match=refused) as exc:
+            divisible_fef(inst)
+        assert "_validate" in [entry.name for entry in exc.traceback]
+        path = tmp_path / "inst.json"
+        serialize.dump_instance(inst, path)
+        assert main(["solve-divisible", str(path)]) == EXIT_INTERNAL
+        assert "internal error: constraint" in capsys.readouterr().err
 
     def test_density_orderings_computed_once_per_instance(self, monkeypatch):
         calls = []
@@ -252,22 +302,30 @@ class TestSelectionReplay:
 
 
 class TestEdgeProgram:
-    """_edge_program(aug, tau, rel), over the n edge amounts, decides
-    build_lp(aug, tau, rel): on drawn instances and thresholds with every
-    tau_a <= m + 1, both programs get the same verdict, and the allocation
-    built from a point of the small one satisfies build_lp's."""
+    """_edge_program(aug, sets, rel), on the sets internal_edge(aug, tau),
+    decides build_lp(aug, tau, rel) over the n edge amounts: on drawn
+    instances and thresholds with every tau_a <= m + 1, both programs get
+    the same verdict, and the allocation built from a point of the small
+    one satisfies build_lp's.  Each of its rows holds only nonzero int
+    coefficients, an int right-hand side and a relation feasible takes,
+    so feasible's one check of the program misses nothing."""
 
     @settings(max_examples=200, deadline=None)
     @given(instances(max_agents=3, max_goods=4, max_value=4, max_size=3), st.data())
     def test_agrees_with_build_lp(self, inst, data):
         aug = augment(inst)
         tau = tuple(data.draw(st.integers(1, inst.m + 1)) for _ in range(inst.n))
+        sets = internal_edge(aug, tau)
         for rel in (LE, EQ):
             lp, cols = build_lp(aug, tau, rel)
-            result = feasible(divisible._edge_program(aug, tau, rel))
+            edge = divisible._edge_program(aug, sets, rel)
+            for row in edge.constraints:
+                assert row.relation in (LE, EQ) and type(row.rhs) is int
+                assert all(type(c) is int and c != 0 for c in row.coeffs.values())
+            result = feasible(edge)
             assert result.feasible == feasible(lp).feasible
             if result.feasible:
-                x = divisible._edge_allocation(aug, tau, result.assignment).x
+                x = divisible._edge_allocation(aug, sets, result.assignment).x
                 assert lp_module._satisfies(lp, tuple(x[a][g] for a, g in cols))
 
 

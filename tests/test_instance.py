@@ -155,6 +155,15 @@ class TestFractionalAllocation:
         )
         assert alloc.charity == (Fraction(1, 3), Fraction(0))
 
+    def test_charity_is_computed_once(self):
+        # Cached on the allocation; equality and hashing read x alone.
+        alloc = FractionalAllocation(((Fraction(1, 3), Fraction(0)),))
+        twin = FractionalAllocation(((Fraction(1, 3), Fraction(0)),))
+        assert alloc.charity is alloc.charity
+        assert alloc == twin and hash(alloc) == hash(twin)
+        assert twin.charity == alloc.charity and alloc == twin
+        assert alloc != FractionalAllocation(((Fraction(1, 3), Fraction(1)),))
+
     def test_rejects_over_assignment(self):
         with pytest.raises(ValueError, match="over-assigned"):
             FractionalAllocation(((Fraction(2, 3),), (Fraction(2, 3),)))
@@ -210,6 +219,14 @@ class TestIntegralAllocation:
         assert alloc.charity == frozenset({0})
         assert alloc.welfare(inst) == 2 + 6
         assert alloc.is_feasible(inst)
+
+    def test_charity_is_computed_once(self):
+        alloc = IntegralAllocation(3, (frozenset({1}), frozenset({2})))
+        twin = IntegralAllocation(3, (frozenset({1}), frozenset({2})))
+        assert alloc.charity is alloc.charity
+        assert alloc == twin and hash(alloc) == hash(twin)
+        assert twin.charity == alloc.charity and alloc == twin
+        assert alloc != IntegralAllocation(3, (frozenset({1}), frozenset()))
 
     @pytest.mark.parametrize("bad", [1.0, True])
     def test_goods_must_be_ints(self, bad):

@@ -7,8 +7,8 @@ from fractions import Fraction
 
 import pytest
 
-from gapfair import divisible, indivisible
-from gapfair.cli import EXIT_BAD_INPUT, EXIT_INTERNAL, EXIT_OK
+from gapfair import FractionalAllocation, Instance, divisible, indivisible, serialize
+from gapfair.cli import EXIT_BAD_INPUT, EXIT_FAIL, EXIT_INTERNAL, EXIT_OK
 from gapfair.instance import CHARITY
 from test_cli import inst_path, run  # noqa: F401 (inst_path is a fixture)
 
@@ -262,3 +262,38 @@ def test_unverified_parity_probe_exits_4(tmp_path, monkeypatch, capsys):
     path.write_text(json.dumps({"m": 2, "capacity": 3, "weights": [1, 2], "values": [2, 4]}))
     assert run("reduce-knapsack", path) == EXIT_INTERNAL
     assert "internal error: probe at mu=3" in capsys.readouterr().err
+
+
+def long_witness_files(tmp_path):
+    """An instance and a fractional allocation file whose entries are each
+    short enough to read, but whose FEF witness values are not: agent 1
+    holds 1/(10**1500 + k) of goods k = 1, 3, 7 (every value and size 1,
+    budgets 3), so its own value's denominator has about 4500 digits."""
+    instance = Instance(2, 3, ((1,) * 3,) * 2, ((1,) * 3,) * 2, (3, 3))
+    tiny = tuple(Fraction(1, 10**1500 + k) for k in (1, 3, 7))
+    allocation = FractionalAllocation((tiny, (Fraction(1, 2),) * 3))
+    inst_path, out = tmp_path / "inst.json", tmp_path / "alloc.json"
+    serialize.dump_instance(instance, inst_path)
+    serialize.dump_fractional(allocation, inst_path, out)
+    return inst_path, out, allocation
+
+
+def test_witness_values_past_the_digit_limit_still_fail(
+    tmp_path, capsys, default_digit_limit
+):
+    """A FAIL whose witness values cannot be printed is still a FAIL (exit
+    1), named by agent and target, not the precondition exit 3."""
+    _, out, _ = long_witness_files(tmp_path)
+    assert run("verify", out, "--mode", "fef") == EXIT_FAIL
+    assert capsys.readouterr().out.startswith("FAIL: agent 1 envies agent 2 (")
+
+
+def test_solver_output_with_unprintable_witness_exits_4(
+    tmp_path, monkeypatch, capsys, default_digit_limit
+):
+    inst_path, out, allocation = long_witness_files(tmp_path)
+    result = divisible.DivisibleResult(allocation, allocation, (1, 1), 0, ((1, 1),))
+    monkeypatch.setattr(divisible, "divisible_fef", lambda instance, trace=None: result)
+    assert run("solve-divisible", inst_path) == EXIT_INTERNAL
+    err = capsys.readouterr().err
+    assert "solver output failed verification: agent 1 envies agent 2" in err
